@@ -313,3 +313,7 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

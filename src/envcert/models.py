@@ -309,13 +309,16 @@ def compile_expression(expr_str: str):
     """Compile a one-variable expression string to vectorized callables.
 
     Returns (eval, (d1, d2, d3)) where each callable maps arrays to
-    arrays.  Only the symbol x and standard functions (exp, log, sqrt,
-    Abs) are allowed.
+    arrays.  Only the real symbol x and standard functions (exp, log,
+    sqrt, Abs) are allowed.  The value and d1 are compiled here; d2 and
+    d3 are compiled on first call, each from the one before it, since
+    only the Schwarzian needs them.  A derivative that sympy cannot
+    differentiate or compile raises ValueError naming its order.
     """
     import sympy as sp
     from sympy.parsing.sympy_parser import parse_expr
 
-    xsym = sp.Symbol("x")
+    xsym = sp.Symbol("x", real=True)
     allowed = {
         "x": xsym,
         "exp": sp.exp,
@@ -350,10 +353,31 @@ def compile_expression(expr_str: str):
 
         return call
 
-    fns = []
-    for k in range(4):
-        fns.append(vec(sp.lambdify(xsym, sp.diff(expr, xsym, k), modules="numpy")))
-    return fns[0], tuple(fns[1:])
+    # exprs[k] and fns[k] hold derivative k once it has been compiled.
+    exprs: list = []
+    fns: list = []
+
+    def compiled(k: int):
+        while len(fns) <= k:
+            order = len(fns)
+            try:
+                d = sp.diff(exprs[-1], xsym) if exprs else expr
+                fn = vec(sp.lambdify(xsym, d, modules="numpy"))
+                # lambdify leaves functions numpy lacks (DiracDelta) as
+                # unbound names, which only fail when called
+                fn(np.ones(1))
+            except Exception as exc:
+                reason = str(exc).partition("\n")[0]
+                raise ValueError(
+                    f"cannot compile derivative of order {order} of "
+                    f"expression {expr_str!r}: {reason}"
+                ) from exc
+            exprs.append(d)
+            fns.append(fn)
+        return fns[k]
+
+    compiled(1)
+    return fns[0], (fns[1], lambda x: compiled(2)(x), lambda x: compiled(3)(x))
 
 
 def _build_custom(pieces: Sequence) -> tuple:

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from envcert import config_from_dict, config_to_system, parse_system_config
-from envcert.cli import _bundled_names, _load_config, run_command
+from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, run_command
 
 BUNDLED = [
     "bh_counterexample",
@@ -29,6 +33,13 @@ models:
 envelopes:
   - kind: mobius
     alpha: 0.75
+"""
+
+ABS_RICKER = """\
+models:
+  - family: custom
+    pieces:
+      - {from: 0.0, expr: "x*exp(1.5*(1 - x))*(1 + 0.1*Abs(x - 1))"}
 """
 
 
@@ -148,6 +159,26 @@ def test_schwarzian_command_rejects_non_smooth(capsys):
     _, err = capsys.readouterr()
     assert code == 3
     assert "error:" in err and "not C^3" in err
+
+
+def test_certify_custom_abs_map(tmp_path, capsys):
+    cfg = tmp_path / "abs.yaml"
+    cfg.write_text(ABS_RICKER)
+    code = run_command(["certify", str(cfg)])
+    out, _ = capsys.readouterr()
+    doc = json.loads(out)
+    assert code == _STATUS_EXIT[doc["result"]["status"]]
+
+
+def test_schwarzian_reports_uncompilable_derivative(tmp_path, capsys):
+    cfg = tmp_path / "abs.yaml"
+    cfg.write_text(ABS_RICKER)
+    code = run_command(["schwarzian", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "error: cannot compile derivative of order 2" in err
+    assert "Abs(x - 1)" in err
 
 
 def test_conditions_exit_codes(tmp_path):
@@ -277,3 +308,15 @@ def test_grid_overrides_reach_the_report(capsys):
     doc = json.loads(out)
     assert doc["tolerances"]["seed_cells"] == 512
     assert doc["tolerances"]["abs_tol"] == 1e-06
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__import__("envcert").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "envcert.cli", "certify", "ricker_triple"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["status"] == "CertifiedGlobal"

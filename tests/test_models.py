@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
-from envcert import FAMILIES, Interval, make_model, verify_population_axioms
+from envcert import FAMILIES, Interval, make_model, schwarzian_test, verify_population_axioms
 from envcert.numerics import GridConfig, fd_derivative
 
 
@@ -186,6 +187,60 @@ def test_custom_multi_piece_not_smooth():
     )
     assert not f.smooth
     assert f.breakpoints == (2.0,)
+
+
+def test_custom_derivatives_compile_on_first_use(monkeypatch):
+    calls = []
+    real_lambdify = sympy.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real_lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counting)
+    f = make_model("custom", pieces=[(0.0, "x*exp(1.3*(1 - x))")])
+    assert len(calls) == 2  # the value and d1
+    schwarzian_test(f)
+    assert len(calls) == 4  # d2 and d3 on first use
+    schwarzian_test(f)
+    assert len(calls) == 4
+
+
+# The three forms the benchmark's sweep spells out as custom maps
+# (Ricker, Beverton-Holt, exponential-rational), and a two-piece map.
+_SWEEP_FORMS = [
+    [(0.0, "x*exp(1.7*(1 - x))")],
+    [(0.0, "3.0*x/(1 + 2.0*x**1.5)")],
+    [(0.0, f"{1 + 0.5 * math.exp(1.2)!r}*x/(1 + 0.5*exp(1.2*x))")],
+    [(0.0, "x*exp(1.2*(1 - x))"), (1.5, "2.5*x/(1 + 1.5*x**2)")],
+]
+
+
+@pytest.mark.parametrize("pieces", _SWEEP_FORMS)
+def test_custom_derivatives_match_sympy(pieces):
+    x = sympy.Symbol("x")
+    f = make_model("custom", pieces=pieces)
+    xs = np.linspace(0.0, 3.0, 302)[1:-1]
+    starts = [s for s, _ in pieces] + [np.inf]
+    for order in (1, 2, 3):
+        want = np.empty_like(xs)
+        for (lo, text), hi in zip(pieces, starts[1:]):
+            mask = (xs >= lo) & (xs < hi)
+            ref = sympy.lambdify(x, sympy.diff(sympy.sympify(text), x, order), "numpy")
+            want[mask] = ref(xs[mask])
+        # relative to the derivative's scale where it crosses zero
+        np.testing.assert_allclose(f.deriv_array(xs, order), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_custom_abs_differentiates_on_the_real_line():
+    f = make_model("custom", pieces=[(0.0, "x*exp(1.5*(1 - x))*(1 + 0.1*Abs(x - 1))")])
+    assert f.deriv(0.5, 1) == pytest.approx(
+        fd_derivative(lambda t: f.eval_array(np.asarray([t]))[0], 0.5, 1), rel=1e-6
+    )
+    # d/dx Abs is sign, whose derivative DiracDelta numpy cannot evaluate
+    with pytest.raises(ValueError, match="derivative of order 2 .*Abs"):
+        f.deriv(0.5, 2)
 
 
 def test_axioms_pass_for_ricker():
