@@ -8,6 +8,7 @@ result, 1 definite negative, 2 inconclusive, 3 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -80,7 +81,11 @@ def _load_config(name: str) -> SystemConfig:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once and shared by every call: parse_args leaves the parser
+    # unchanged as long as no argument has an append-style action or a
+    # mutable default, and none may be added.
     p = _Parser(
         prog="envcert",
         description="Certify global stability of periodic population models "

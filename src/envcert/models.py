@@ -7,6 +7,8 @@ stays above the diagonal on (0, 1), below it past 1, and positive past 1.
 
 from __future__ import annotations
 
+import ast
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -305,42 +307,185 @@ def _build_piecewise_linear_recip(p: dict):
     return ev, (d1, d2, d3), (float(brk), 1.0), False, None
 
 
+# ---------------------------------------------------------------------------
+# Custom expressions: a whitelisted subset of Python expression syntax.
+# The value runs as compiled bytecode over numpy; derivatives come from
+# truncated Taylor arithmetic on the same tree.  A series is the list
+# [f, f', f''/2, f'''/6] cut after at most n terms; a shorter list ends in
+# zeros, and a list of one term is a constant.
+
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "Abs": np.abs}
+_CONSTANTS = {"E": np.float64(np.e), "e": np.float64(np.e), "pi": np.float64(np.pi)}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_GRAMMAR = "numbers, x, E, e, pi, + - * / **, exp, log, sqrt, Abs"
+
+
+def _check_expression(expr_str: str) -> tuple[ast.Expression, dict]:
+    """Parse and whitelist an expression.
+
+    Returns the checked tree, in which every number is a name bound to a
+    float64 in the returned namespace (so arithmetic on constants follows
+    numpy's error state instead of raising), and that namespace.
+    """
+    def fail(reason) -> ValueError:
+        return ValueError(f"cannot parse expression {expr_str!r}: {reason}")
+
+    namespace: dict = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
+    unknown: set[str] = set()
+
+    def check(node: ast.AST) -> ast.AST:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            name = f"_k{len(namespace)}"
+            try:
+                namespace[name] = np.float64(node.value)
+            except OverflowError as exc:
+                raise fail(exc) from exc
+            return ast.Name(name, ast.Load())
+        if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+            if node.id != "x" and node.id not in _CONSTANTS:
+                unknown.add(node.id)
+            return node
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            return ast.UnaryOp(node.op, check(node.operand))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            return ast.BinOp(check(node.left), node.op, check(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords and not isinstance(node.args[0], ast.Starred)):
+            return ast.Call(node.func, [check(node.args[0])], [])
+        raise fail(f"{ast.unparse(node)!r} is not allowed (use {_GRAMMAR})")
+
+    try:
+        tree = ast.Expression(check(ast.parse(expr_str.strip(), mode="eval").body))
+    except (SyntaxError, RecursionError) as exc:
+        raise fail(exc) from exc
+    if unknown:
+        names = ", ".join(sorted(unknown))
+        raise ValueError(f"expression {expr_str!r} uses unknown symbols: {names}")
+    return ast.fix_missing_locations(tree), namespace
+
+
+def _add(a: list, b: list, sign: float) -> list:
+    out = []
+    for i in range(max(len(a), len(b))):
+        if i >= len(b):
+            out.append(a[i])
+        elif i >= len(a):
+            out.append(sign * b[i])
+        else:
+            out.append(a[i] + b[i] if sign > 0 else a[i] - b[i])
+    return out
+
+
+def _mul(a: list, b: list, n: int) -> list:
+    if len(a) == 1:
+        return [a[0] * c for c in b]
+    if len(b) == 1:
+        return [c * b[0] for c in a]
+    return [
+        sum(a[i] * b[m - i] for i in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1))
+        for m in range(min(n, len(a) + len(b) - 1))
+    ]
+
+
+def _div(a: list, b: list, n: int) -> list:
+    if len(b) == 1:
+        return [c / b[0] for c in a]
+    out: list = []
+    for m in range(n):
+        t = a[m] if m < len(a) else 0.0
+        for j in range(1, min(m, len(b) - 1) + 1):
+            t = t - b[j] * out[m - j]
+        out.append(t / b[0])
+    return out
+
+
+def _chain(g: list, a: list, n: int) -> list:
+    """Series of F(a) from g[m] = F^(m)(a[0]) / m!, for n <= 4 (Faa di Bruno)."""
+    a1 = a[1]
+    out = [g[0], g[1] * a1]
+    if n > 2:
+        t = g[2] * a1 * a1
+        out.append(g[1] * a[2] + t if len(a) > 2 else t)
+    if n > 3:
+        t = g[3] * a1 * a1 * a1
+        if len(a) > 2:
+            t = t + 2.0 * g[2] * a1 * a[2]
+        if len(a) > 3:
+            t = t + g[1] * a[3]
+        out.append(t)
+    return out
+
+
+def _power(a: list, c, n: int) -> list:
+    """a**c for a constant c: g[m] = c(c-1)...(c-m+1)/m! * a0**(c-m).
+
+    A coefficient whose falling factorial vanishes is exactly 0, so x**2
+    has the derivative 0 at 0 instead of 0 * 0**-1.
+    """
+    g, coef = [], 1.0
+    for m in range(n):
+        g.append(coef * a[0] ** (c - m) if coef != 0.0 else 0.0)
+        coef *= (c - m) / (m + 1)
+    return _chain(g, a, n)
+
+
+def _call(name: str, a: list, n: int) -> list:
+    a0 = a[0]
+    if len(a) == 1:
+        return [_FUNCTIONS[name](a0)]
+    if name == "sqrt":
+        return _power(a, 0.5, n)
+    if name == "exp":
+        e = np.exp(a0)
+        g = [e, e, e / 2.0, e / 6.0]
+    elif name == "log":
+        inv = 1.0 / a0
+        g = [np.log(a0), inv, -0.5 * inv * inv, inv * inv * inv / 3.0]
+    else:  # Abs; compile_expression refuses orders above 1
+        g = [np.abs(a0), np.sign(a0)]
+    return _chain(g, a, n)
+
+
+def _taylor(node: ast.AST, x: np.ndarray, n: int, namespace: dict) -> list:
+    """The first n Taylor coefficients of a checked tree at x."""
+    if isinstance(node, ast.Name):
+        return [x, 1.0] if node.id == "x" else [namespace[node.id]]
+    if isinstance(node, ast.UnaryOp):
+        a = _taylor(node.operand, x, n, namespace)
+        return a if isinstance(node.op, ast.UAdd) else [-c for c in a]
+    if isinstance(node, ast.Call):
+        return _call(node.func.id, _taylor(node.args[0], x, n, namespace), n)
+    a = _taylor(node.left, x, n, namespace)
+    b = _taylor(node.right, x, n, namespace)
+    op = type(node.op)
+    if op is ast.Add:
+        return _add(a, b, 1.0)
+    if op is ast.Sub:
+        return _add(a, b, -1.0)
+    if op is ast.Mult:
+        return _mul(a, b, n)
+    if op is ast.Div:
+        return _div(a, b, n)
+    if len(b) == 1:
+        return _power(a, b[0], n) if len(a) > 1 else [a[0] ** b[0]]
+    # a**b = exp(b log a) when the exponent depends on x
+    return _call("exp", _mul(b, _call("log", a, n), n), n)
+
+
 def compile_expression(expr_str: str):
     """Compile a one-variable expression string to vectorized callables.
 
     Returns (eval, (d1, d2, d3)) where each callable maps arrays to
-    arrays.  Only the real symbol x and standard functions (exp, log,
-    sqrt, Abs) are allowed.  The value and d1 are compiled here; d2 and
-    d3 are compiled on first call, each from the one before it, since
-    only the Schwarzian needs them.  A derivative that sympy cannot
-    differentiate or compile raises ValueError naming its order.
+    arrays.  The expression may use numbers, the variable x, the
+    constants E (or e) and pi, unary + and -, binary + - * / **, and
+    one-argument calls to exp, log, sqrt and Abs; anything else raises
+    ValueError.  Derivative k evaluates k + 1 Taylor coefficients, so d1
+    never pays for d2 or d3.  Abs has no second derivative: d2 and d3 of
+    an expression with Abs of x raise ValueError naming the order.
     """
-    import sympy as sp
-    from sympy.parsing.sympy_parser import parse_expr
-
-    xsym = sp.Symbol("x", real=True)
-    allowed = {
-        "x": xsym,
-        "exp": sp.exp,
-        "log": sp.log,
-        "sqrt": sp.sqrt,
-        "Abs": sp.Abs,
-        "E": sp.E,
-        "e": sp.E,
-        "pi": sp.pi,
-        "Symbol": sp.Symbol,
-        "Integer": sp.Integer,
-        "Float": sp.Float,
-        "Rational": sp.Rational,
-    }
-    try:
-        expr = parse_expr(expr_str, local_dict={"x": xsym}, global_dict=allowed)
-    except Exception as exc:
-        raise ValueError(f"cannot parse expression {expr_str!r}: {exc}") from exc
-    extra = expr.free_symbols - {xsym}
-    if extra:
-        names = ", ".join(sorted(str(s) for s in extra))
-        raise ValueError(f"expression {expr_str!r} uses unknown symbols: {names}")
+    tree, namespace = _check_expression(expr_str)
+    code = compile(tree, "<expression>", "eval")
 
     def vec(fn):
         def call(x):
@@ -353,31 +498,31 @@ def compile_expression(expr_str: str):
 
         return call
 
-    # exprs[k] and fns[k] hold derivative k once it has been compiled.
-    exprs: list = []
-    fns: list = []
+    kinked = any(
+        isinstance(node, ast.Call) and node.func.id == "Abs"
+        and any(isinstance(v, ast.Name) and v.id == "x" for v in ast.walk(node))
+        for node in ast.walk(tree)
+    )
 
-    def compiled(k: int):
-        while len(fns) <= k:
-            order = len(fns)
-            try:
-                d = sp.diff(exprs[-1], xsym) if exprs else expr
-                fn = vec(sp.lambdify(xsym, d, modules="numpy"))
-                # lambdify leaves functions numpy lacks (DiracDelta) as
-                # unbound names, which only fail when called
-                fn(np.ones(1))
-            except Exception as exc:
-                reason = str(exc).partition("\n")[0]
+    def derivative(k: int):
+        if k > 1 and kinked:
+            def refuse(x):
                 raise ValueError(
-                    f"cannot compile derivative of order {order} of "
-                    f"expression {expr_str!r}: {reason}"
-                ) from exc
-            exprs.append(d)
-            fns.append(fn)
-        return fns[k]
+                    f"cannot compile derivative of order {k} of expression "
+                    f"{expr_str!r}: Abs has no derivative of order 2"
+                )
 
-    compiled(1)
-    return fns[0], (fns[1], lambda x: compiled(2)(x), lambda x: compiled(3)(x))
+            return refuse
+        scale = float(math.factorial(k))
+
+        def deriv(x):
+            s = _taylor(tree.body, x, k + 1, namespace)
+            return scale * s[k] if len(s) > k else 0.0
+
+        return deriv
+
+    value = vec(lambda x: eval(code, namespace, {"x": x}))
+    return value, tuple(vec(derivative(k)) for k in (1, 2, 3))
 
 
 def _build_custom(pieces: Sequence) -> tuple:

@@ -72,18 +72,19 @@ class SignReport:
 
 
 def _merge_cells(los: np.ndarray, his: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Merge cells (lo <= hi) into intervals, bridging gaps of at most
+    1e-12 * max(1, |lo|).  Sorted by lo, the running maximum of the cell
+    ends is the end of the interval built so far."""
     if los.size == 0:
         return ()
     order = np.argsort(los, kind="stable")
     los, his = los[order], his[order]
-    out: list[list[float]] = [[float(los[0]), float(his[0])]]
-    for lo, hi in zip(los[1:], his[1:]):
-        gap = lo - out[-1][1]
-        if gap <= 1e-12 * max(1.0, abs(lo)):
-            out[-1][1] = max(out[-1][1], float(hi))
-        else:
-            out.append([float(lo), float(hi)])
-    return tuple((a, b) for a, b in out)
+    reach = np.maximum.accumulate(his)
+    new = np.ones(los.size, dtype=bool)
+    new[1:] = los[1:] - reach[:-1] > 1e-12 * np.maximum(1.0, np.abs(los[1:]))
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], los.size) - 1
+    return tuple(zip(los[starts].tolist(), reach[ends].tolist()))
 
 
 def adaptive_sign_check(
@@ -245,7 +246,7 @@ def scan_roots(
     xs = np.linspace(lo, hi, max(seed_cells, 8) + 1)
     with np.errstate(all="ignore"):
         vs = np.asarray(g(xs), dtype=float)
-    roots: list[float] = [float(x) for x, v in zip(xs, vs) if v == 0.0]
+    roots: list[float] = xs[vs == 0.0].tolist()
     fin = np.isfinite(vs)
     crosses = fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0)
     for i in np.nonzero(crosses)[0]:

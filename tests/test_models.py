@@ -1,12 +1,18 @@
 """Model construction, closed-form derivatives and population axioms."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-from envcert import FAMILIES, Interval, make_model, schwarzian_test, verify_population_axioms
+from envcert import FAMILIES, Interval, make_model, verify_population_axioms
+from envcert.cli import run_command
 from envcert.numerics import GridConfig, fd_derivative
 
 
@@ -189,30 +195,68 @@ def test_custom_multi_piece_not_smooth():
     assert f.breakpoints == (2.0,)
 
 
-def test_custom_derivatives_compile_on_first_use(monkeypatch):
-    calls = []
-    real_lambdify = sympy.lambdify
+def test_certify_custom_does_not_import_sympy(tmp_path):
+    cfg = tmp_path / "custom.yaml"
+    cfg.write_text('models:\n  - family: custom\n'
+                   '    pieces:\n      - {from: 0.0, expr: "x*exp(1.3*(1 - x))"}\n')
+    src = str(Path(__import__("envcert").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys; from envcert.cli import run_command; "
+              f"code = run_command(['certify', {str(cfg)!r}, '--out', "
+              f"{str(tmp_path / 'out.json')!r}]); "
+              "print(code, 'sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real_lambdify(*args, **kwargs)
 
-    monkeypatch.setattr(sympy, "lambdify", counting)
-    f = make_model("custom", pieces=[(0.0, "x*exp(1.3*(1 - x))")])
-    assert len(calls) == 2  # the value and d1
-    schwarzian_test(f)
-    assert len(calls) == 4  # d2 and d3 on first use
-    schwarzian_test(f)
-    assert len(calls) == 4
+_REJECTED = [
+    "__import__('os')",
+    "x.real",
+    "(lambda: 1)()",
+    "x[0]",
+    "x < 1",
+    "exp(x=1)",
+    "Rational(1, 3)",
+]
+
+
+@pytest.mark.parametrize("expr", _REJECTED)
+def test_custom_rejects_disallowed_syntax(expr, tmp_path, capsys):
+    with pytest.raises(ValueError, match="cannot parse expression"):
+        make_model("custom", pieces=[(0.0, expr)])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"models": [
+        {"family": "custom", "pieces": [{"from": 0.0, "expr": expr}]}]}))
+    assert run_command(["certify", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: models[0]: cannot parse expression" in err
+
+
+def test_custom_power_derivatives_at_origin():
+    # falling factorials: d/dx x**2 is exactly 0 at 0, not 0 * 0**-1
+    f = make_model("custom", pieces=[(0.0, "x**2*exp(1 - x)")])
+    assert f.deriv(0.0, 1) == 0.0
+    assert f.deriv(0.0, 2) == pytest.approx(2 * math.e, rel=1e-15)
+    assert f.deriv(0.0, 3) == pytest.approx(-6 * math.e, rel=1e-15)
 
 
 # The three forms the benchmark's sweep spells out as custom maps
-# (Ricker, Beverton-Holt, exponential-rational), and a two-piece map.
+# (Ricker, Beverton-Holt, exponential-rational), a two-piece map,
 _SWEEP_FORMS = [
     [(0.0, "x*exp(1.7*(1 - x))")],
     [(0.0, "3.0*x/(1 + 2.0*x**1.5)")],
     [(0.0, f"{1 + 0.5 * math.exp(1.2)!r}*x/(1 + 0.5*exp(1.2*x))")],
     [(0.0, "x*exp(1.2*(1 - x))"), (1.5, "2.5*x/(1 + 1.5*x**2)")],
+    # and the rest of the grammar (Abs has its own test below)
+    [(0.0, "2*x/(1 + sqrt(x))")],
+    [(0.0, "x*(2 - log(1 + x)/log(2))")],
+    [(0.0, "2.5*x/(1.5 + x**-1.5)")],
+    [(0.0, "x*E**(pi*(1 - x)/2)")],
+    [(0.0, "x*x**x")],
 ]
 
 

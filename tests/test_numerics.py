@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from envcert.numerics import (
     GridConfig,
+    _merge_cells,
     adaptive_sign_check,
     bracketed_root,
     fd_derivative,
@@ -172,3 +174,38 @@ def test_grid_max_at_boundary():
     x, v = grid_max(lambda t: np.asarray(t, dtype=float), 0.0, 3.0)
     assert x == pytest.approx(3.0)
     assert v == pytest.approx(3.0)
+
+
+def _merge_cells_loop(los, his):
+    """The loop _merge_cells replaced, kept as its reference."""
+    if los.size == 0:
+        return ()
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    out = [[float(los[0]), float(his[0])]]
+    for lo, hi in zip(los[1:], his[1:]):
+        gap = lo - out[-1][1]
+        if gap <= 1e-12 * max(1.0, abs(lo)):
+            out[-1][1] = max(out[-1][1], float(hi))
+        else:
+            out.append([float(lo), float(hi)])
+    return tuple((a, b) for a, b in out)
+
+
+_ENDS = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+# widths down to 0 and gaps around the 1e-12 bridging tolerance
+_WIDTHS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]))
+
+
+@given(st.lists(st.tuples(_ENDS, _WIDTHS), max_size=40), st.booleans())
+@example(cells=[(-1.0, 1.0), (1e-12, 1.0)], chain=False)  # gap equal to the tolerance
+def test_merge_cells_matches_loop(cells, chain):
+    los = np.array([lo for lo, _ in cells], dtype=float)
+    his = los + np.array([w for _, w in cells], dtype=float)
+    if chain and cells:
+        # sorted abutting cells, as adaptive_sign_check's bisection leaves them
+        edges = np.cumsum(np.abs(los)) / 7.0
+        los, his = edges[:-1], edges[1:]
+    got = _merge_cells(los, his)
+    assert got == _merge_cells_loop(los, his)
+    assert all(type(v) is float for cell in got for v in cell)
