@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "for the composition"))
     common(sub.add_parser("envelope-check", help="structural and enveloping "
                                                  "checks for each candidate"))
-    sp = sub.add_parser("mobius-fit", help="scan the Moebius alpha parameter")
+    sp = sub.add_parser("mobius-fit", help="fit the Moebius alpha parameter on a grid")
     common(sp)
     sp.add_argument("--alpha-cells", type=int, default=1000)
     sp = sub.add_parser("cycles", help="geometric cycles up to a period count")
@@ -127,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _grid_from(args, cfg: SystemConfig) -> GridConfig:
     grid = cfg.grid
-    if getattr(args, "grid_cells", None):
+    if getattr(args, "grid_cells", None) is not None:
         grid = replace(grid, seed_cells=args.grid_cells)
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         grid = replace(grid, abs_tol=args.tol)
     return grid
 

@@ -8,7 +8,9 @@ second condition is vacuous.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -383,6 +385,13 @@ def sandwich_check(
 
 @dataclass(frozen=True)
 class FitReport:
+    """Feasible alpha ranges of a Moebius fit on the grid k/alpha_cells.
+
+    tested is the number of grid values decided, always alpha_cells: each
+    one is either probed or ruled out by a probe's failure, through the
+    monotonicity of h_alpha in alpha (see fit_mobius).
+    """
+
     feasible: tuple[tuple[float, float], ...]
     alpha_step: float
     tested: int
@@ -395,24 +404,69 @@ class FitReport:
 def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -> FitReport:
     """Feasible alpha ranges for which the Moebius envelope works.
 
-    Scans alpha over [0, 1) at resolution 1/alpha_cells, requiring the
-    envelope to pass for every map; run boundaries get one midpoint
-    refinement.  An empty result is a definite negative at this
+    The grid is alpha = k/alpha_cells for k < alpha_cells, and alpha is
+    feasible when the envelope passes for every map.  d h_alpha(x)/d alpha
+    = -(x - 1)^2 / (alpha - (2 alpha - 1) x)^2, whose denominator stays
+    positive on (0, 1/alpha), so h_alpha falls pointwise as alpha grows.
+
+    Inside leg: its samples on (delta, 1 - delta) do not depend on alpha
+    and h_alpha - f only falls, so every cell refined at one alpha is
+    refined at any larger alpha and a failure stays a failure.  The leg
+    holds exactly on a prefix [0, end_in), found by bisection.
+
+    Outside leg: a violation at alpha2 has a witness x < 1/alpha2 where f
+    and h_alpha2 are positive and f - h_alpha2 < -abs_tol.  For every
+    alpha < alpha2, x < 1/alpha and h_alpha(x) >= h_alpha2(x) > 0, so x
+    violates the leg at alpha too.  An unresolved check proves nothing
+    of the kind, and the sampled check has no exact order in alpha since
+    its grid moves with 1/alpha.  So a bisection on [0, end_in) finds
+    start_out as if the leg held on a suffix, every alpha in
+    [start_out, end_in) is checked in full, and so is every alpha below
+    start_out, downwards, until one fails with an outside violation;
+    the alphas under that one are infeasible.  Probes are cached, so no
+    alpha is checked twice.
+
+    tested is alpha_cells: each grid alpha is decided by a probe or by
+    one of the two arguments above.  A fit whose window is empty and
+    whose last failing probe is a violation costs at most
+    2*ceil(log2(alpha_cells + 1)) probes.  Run boundaries get one
+    midpoint refinement.  An empty result is a definite negative at this
     resolution.
     """
+    if alpha_cells < 1:
+        raise ValueError("alpha_cells must be at least 1")
     if cfg is None:
         cfg = GridConfig()
     maps = _maps_of(target)
     alphas = np.arange(alpha_cells) / alpha_cells
 
-    def feasible_at(alpha: float) -> bool:
+    def verdicts(alpha: float):
         h = make_mobius(float(alpha))
-        for f in maps:
-            if not envelops(h, f, cfg).passed:
-                return False
-        return True
+        return (envelops(h, f, cfg) for f in maps)
 
-    mask = np.array([feasible_at(a) for a in alphas], dtype=bool)
+    def feasible_at(alpha: float) -> bool:
+        return all(v.passed for v in verdicts(alpha))
+
+    def inside_fails(i: int) -> bool:
+        return not all(v.inside.ok for v in verdicts(alphas[i]))
+
+    @cache
+    def failure(i: int) -> EnvelopeVerdict | None:
+        """The first failing verdict at alphas[i], None if every map passes."""
+        return next((v for v in verdicts(alphas[i]) if not v.passed), None)
+
+    end_in = bisect_left(range(alpha_cells), True, key=inside_fails)
+    # below end_in the inside leg holds, so failure(i) is the outside leg's
+    start_out = bisect_left(range(end_in), True, key=lambda i: failure(i) is None)
+    mask = np.zeros(alpha_cells, dtype=bool)
+    for i in range(start_out, end_in):
+        mask[i] = failure(i) is None
+    for i in reversed(range(start_out)):
+        v = failure(i)
+        if v is not None and v.outside is not None and v.outside.status == "violation":
+            break
+        mask[i] = v is None
+
     runs: list[list[float]] = []
     i = 0
     while i < alpha_cells:

@@ -41,8 +41,9 @@ class GridConfig:
             raise ValueError("seed_cells must be at least 1")
         if not 0 <= self.max_refinement_depth <= 30:
             raise ValueError("max_refinement_depth must lie in [0, 30]")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        # written so that NaN fails too: every comparison with it is False
+        if not (0 <= self.abs_tol < np.inf and 0 <= self.rel_tol < np.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if not 0 < self.exclusion_radius < 0.5:
             raise ValueError("exclusion_radius must lie in (0, 0.5)")
 

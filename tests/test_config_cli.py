@@ -310,6 +310,37 @@ def test_grid_overrides_reach_the_report(capsys):
     assert doc["tolerances"]["abs_tol"] == 1e-06
 
 
+def test_zero_overrides_are_applied(capsys):
+    code = run_command(["axioms", "ricker_triple", "--grid-cells", "512", "--tol", "0"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["tolerances"]["abs_tol"] == 0.0
+    assert run_command(["certify", "bh_pair", "--grid-cells", "0"]) == 3
+    _, err = capsys.readouterr()
+    assert "seed_cells must be at least 1" in err
+
+
+@pytest.mark.parametrize("tol, yaml_tol", [("nan", ".nan"), ("inf", ".inf"), ("-inf", "-.inf")])
+def test_non_finite_tolerance_exits_3(tol, yaml_tol, tmp_path, capsys):
+    assert run_command(["certify", "bh_pair", f"--tol={tol}"]) == 3
+    _, err = capsys.readouterr()
+    assert "tolerances must be finite" in err
+    path = tmp_path / "grid.yaml"
+    path.write_text("models:\n  - family: ricker\n    params: {r: 1.8}\n"
+                    f"grid:\n  rel_tol: {yaml_tol}\n")
+    assert run_command(["certify", str(path)]) == 3
+    _, err = capsys.readouterr()
+    assert "grid: tolerances must be finite" in err
+
+
+@pytest.mark.parametrize("cells", ["0", "-5"])
+def test_mobius_fit_rejects_empty_alpha_grid(cells, capsys):
+    assert run_command(["mobius-fit", "bh_pair", "--alpha-cells", cells]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "alpha_cells must be at least 1" in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__import__("envcert").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

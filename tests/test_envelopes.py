@@ -1,7 +1,11 @@
 """Envelope construction, structural checks and enveloping verdicts."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from envcert import (
     check_decreasing,
@@ -18,6 +22,10 @@ from envcert import (
     sandwich_check,
     structural_check,
 )
+from envcert import envelopes as envelopes_mod
+from envcert.cli import _bundled_names, _load_config
+from envcert.config import config_to_system
+from envcert.envelopes import FitReport, _maps_of
 from envcert.numerics import GridConfig
 
 
@@ -175,6 +183,178 @@ def test_fit_bh_contains_map_specific_alpha():
     rep = fit_mobius(f, alpha_cells=200)
     target = (2.3 - 2.0) / (2.3 - 1.0)
     assert any(lo <= target <= hi for lo, hi in rep.feasible)
+
+
+def _scan_fit(target, cfg=None, alpha_cells=1000):
+    """Reference: the linear scan that probes every grid alpha in full."""
+    if cfg is None:
+        cfg = GridConfig()
+    maps = _maps_of(target)
+    alphas = np.arange(alpha_cells) / alpha_cells
+
+    def feasible_at(alpha):
+        h = make_mobius(float(alpha))
+        return all(envelopes_mod.envelops(h, f, cfg).passed for f in maps)
+
+    mask = np.array([feasible_at(a) for a in alphas], dtype=bool)
+    runs = []
+    i = 0
+    while i < alpha_cells:
+        if mask[i]:
+            j = i
+            while j + 1 < alpha_cells and mask[j + 1]:
+                j += 1
+            lo, hi = float(alphas[i]), float(alphas[j])
+            if i > 0:
+                mid = 0.5 * (alphas[i - 1] + alphas[i])
+                if feasible_at(mid):
+                    lo = float(mid)
+            if j + 1 < alpha_cells:
+                mid = 0.5 * (alphas[j] + alphas[j + 1])
+                if feasible_at(mid):
+                    hi = float(mid)
+            runs.append((lo, hi))
+            i = j + 1
+        else:
+            i += 1
+    return FitReport(feasible=tuple(runs), alpha_step=1.0 / alpha_cells,
+                     tested=alpha_cells)
+
+
+@pytest.mark.parametrize("name", _bundled_names())
+def test_fit_matches_linear_scan_on_bundled_configs(name):
+    cfg = _load_config(name)
+    system = config_to_system(cfg)
+    assert fit_mobius(system, cfg.grid, 200) == _scan_fit(system, cfg.grid, 200)
+
+
+_FAMILIES = {
+    "ricker": st.fixed_dictionaries({"r": st.floats(0.3, 3.0)}),
+    "beverton-holt": st.fixed_dictionaries(
+        {"mu": st.floats(1.2, 10.0), "c": st.floats(0.5, 4.0)}),
+    "exponential-rational": st.fixed_dictionaries(
+        {"a": st.floats(0.05, 1.5), "b": st.floats(0.5, 6.0)}),
+}
+_MAPS = st.one_of(*(
+    params.map(lambda p, fam=fam: make_model(fam, p))
+    for fam, params in _FAMILIES.items()
+))
+
+
+# an exclusion radius of 0.2 makes the outside leg vacuous for alpha >= 5/7
+@settings(deadline=None, max_examples=25)
+@given(st.lists(_MAPS, min_size=1, max_size=2, unique_by=lambda f: f.label),
+       st.sampled_from([1e-4, 0.2]))
+def test_fit_matches_linear_scan_on_family_systems(maps, delta):
+    try:
+        system = make_system(maps)
+    except ValueError:  # e.g. a steep map whose image leaves its domain
+        assume(False)
+    cfg = GridConfig(seed_cells=256, exclusion_radius=delta)
+    assert fit_mobius(system, cfg, 100) == _scan_fit(system, cfg, 100)
+
+
+@pytest.mark.parametrize("maps, cfg", [
+    ([make_model("ricker", {"r": 1.8})], None),
+    ([make_model("beverton-holt", {"mu": 7.0, "c": 2.3})], None),
+    ([make_model("exponential-rational", {"a": 0.32, "b": 2.48})], None),
+    ([make_model("ricker", {"r": 1.5}),
+      make_model("beverton-holt", {"mu": 3.0, "c": 1.0})], None),
+    ([make_model("exponential-rational", {"a": 0.5, "b": 2.0}),
+      make_model("ricker", {"r": 1.2})], None),
+    # the outside span (1.2, 1.3) is shorter than 2*delta: vacuous for all alpha
+    ([make_model("ricker", {"r": 0.5}, x_max=1.3)], GridConfig(exclusion_radius=0.2)),
+], ids=["ricker", "beverton-holt", "exponential-rational", "ricker+bh",
+        "exprat+ricker", "ricker-vacuous-outside"])
+def test_fit_matches_linear_scan_on_family_examples(maps, cfg):
+    system = make_system(maps)
+    rep = fit_mobius(system, cfg, 200)
+    assert rep == _scan_fit(system, cfg, 200)
+    assert not rep.empty
+
+
+def _count_envelops(monkeypatch):
+    calls = []
+    real = envelopes_mod.envelops
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(envelopes_mod, "envelops", counted)
+    return calls
+
+
+def test_empty_fit_costs_two_bisections(monkeypatch):
+    cfg = _load_config("bh_counterexample")
+    system = config_to_system(cfg)
+    calls = _count_envelops(monkeypatch)
+    rep = fit_mobius(system, cfg.grid, 1000)
+    assert rep.empty
+    assert rep.tested == 1000
+    assert len(calls) <= 2 * math.ceil(math.log2(1000)) * system.period
+
+
+def test_rescued_fit_probes_only_its_window(monkeypatch):
+    # no default candidate envelops this map; a narrow alpha band does
+    f = make_model("exponential-rational", {"a": 0.32, "b": 2.48})
+    calls = _count_envelops(monkeypatch)
+    n = 1000
+    rep = fit_mobius(f, alpha_cells=n)
+    assert len(rep.feasible) == 1
+    lo, hi = rep.feasible[0]
+    assert lo > 0.5
+    alphas = np.arange(n) / n
+    window = int(((alphas >= lo) & (alphas <= hi)).sum())
+    assert 0 < window < n // 5
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + window + 2
+
+
+def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
+    # past 1, f - h_0.3 = (x - 2)^4 (x - 1): the flat tangency at 2 leaves
+    # the outside check at alpha = 0.3 unresolved, and below 0.3 it fails
+    # with a violation, which rules out every smaller alpha
+    f = make_model("custom", pieces=[
+        (0.0, "x**0.5"),
+        (1.0, "(1 - 0.3*x)/(0.3 + 0.4*x) + (x - 2)**4*(x - 1)"),
+    ])
+    assert envelops(make_mobius(0.3), f).outside.status == "unresolved"
+    assert envelops(make_mobius(0.275), f).outside.status == "violation"
+    expected = _scan_fit(f, alpha_cells=40)
+    calls = _count_envelops(monkeypatch)
+    rep = fit_mobius(f, alpha_cells=40)
+    assert rep == expected
+    assert rep.feasible[0][0] > 0.3
+    # the window (0.3, 1) is probed once each, plus the bisections and
+    # the one step down from 0.3 to the violation at 0.275
+    assert len(calls) <= 2 * math.ceil(math.log2(40)) + 28 + 2
+
+
+def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
+    # every alpha envelops this map; the check at alpha = 0.5, the first
+    # probe of the outside bisection, is made to come back unresolved,
+    # which proves nothing about smaller alpha, so they are checked too
+    f = make_model("beverton-holt", {"mu": 3.0, "c": 1.0})
+    real = envelopes_mod.envelops
+
+    def unresolved_at_half(h, model, cfg=None):
+        v = real(h, model, cfg)
+        if h.param != 0.5:
+            return v
+        out = replace(v.outside, status="unresolved", unresolved=((1.5, 1.6),))
+        return replace(v, passed=False, outside=out)
+
+    monkeypatch.setattr(envelopes_mod, "envelops", unresolved_at_half)
+    rep = fit_mobius(f, alpha_cells=40)
+    assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
+    assert rep == _scan_fit(f, alpha_cells=40)
+
+
+def test_fit_rejects_empty_grid():
+    f = make_model("ricker", {"r": 1.8})
+    for cells in (0, -5):
+        with pytest.raises(ValueError, match="alpha_cells must be at least 1"):
+            fit_mobius(f, alpha_cells=cells)
 
 
 def test_envelope_labels():

@@ -24,6 +24,12 @@ def test_grid_config_rejects_bad_values():
         GridConfig(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         GridConfig(max_refinement_depth=-1)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            GridConfig(abs_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GridConfig(rel_tol=bad)
+    assert GridConfig(abs_tol=0.0, rel_tol=0.0).abs_tol == 0.0
 
 
 def test_sign_check_accepts_strictly_positive():
