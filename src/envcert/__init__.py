@@ -24,23 +24,19 @@ from .certify import (
 )
 from .config import SystemConfig, config_from_dict, config_to_system, parse_system_config
 from .envelopes import (
-    CommonEnvelopeReport,
     Envelope,
     EnvelopeVerdict,
     FitReport,
     InvolutionReport,
-    SandwichReport,
     StructuralReport,
     check_decreasing,
     check_involution,
-    common_envelope,
     envelops,
     fit_mobius,
     make_custom_envelope,
     make_mobius,
     make_piecewise_bh,
     make_reciprocal,
-    sandwich_check,
     structural_check,
 )
 from .models import (
@@ -62,17 +58,14 @@ from .numerics import (
 )
 from .periodic import (
     GeometricCycle,
-    MonotonicityReport,
     PeriodicSystem,
     compose_array,
     compose_eval,
     composition_derivative,
-    composition_derivative_array,
     find_fixed_points,
     find_geometric_cycles,
     iterate_orbit,
     make_system,
-    monotonicity_bound,
 )
 
 __version__ = "0.1.0"

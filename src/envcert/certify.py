@@ -16,10 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .envelopes import (
-    CommonEnvelopeReport,
     Envelope,
     EnvelopeVerdict,
-    FitReport,
     envelops,
     fit_mobius,
     make_mobius,
@@ -34,7 +32,7 @@ from .models import (
     check_axioms_callable,
     verify_population_axioms,
 )
-from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots
+from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
 from .periodic import (
     PeriodicSystem,
     compose_array,
@@ -54,6 +52,7 @@ __all__ = [
     "CandidateRecord",
     "StabilityCertificate",
     "default_candidates",
+    "try_candidate",
     "certify_global_stability",
     "DiagnosisReport",
     "diagnose_failure",
@@ -61,13 +60,6 @@ __all__ = [
     "ConditionsReport",
     "closed_form_conditions",
 ]
-
-# Exclusion radii tried in turn when the only failures are undecided
-# cells hugging a fixed point (tangency at x = 1 shrinks margins below
-# any absolute tolerance).
-_DELTA_LADDER = (1e-3, 1e-2)
-_NEAR = 0.05  # how close to 0 or 1 an undecided cell must sit to retry
-
 
 # ---------------------------------------------------------------------------
 # Schwarzian derivative
@@ -320,100 +312,57 @@ def default_candidates(system: PeriodicSystem) -> tuple[Envelope, ...]:
     return tuple(out)
 
 
-def _near_fixed_points_only(
-    intervals: Sequence[tuple[float, float]], radius: float = _NEAR
-) -> bool:
-    if not intervals:
-        return False
-    for a, b in intervals:
-        near_one = 1.0 - radius <= a and b <= 1.0 + radius
-        near_zero = b <= radius
-        if not (near_one or near_zero):
-            return False
-    return True
-
-
-def _try_candidate(
+def try_candidate(
     h: Envelope, system: PeriodicSystem, cfg: GridConfig
 ) -> CandidateRecord:
+    """The structural gate, then h against every map on the tangency ladder."""
     struct = structural_check(h, cfg)
-    if not struct.passed:
-        return CandidateRecord(
-            envelope_label=h.label,
-            structural_passed=False,
-            involution_residual=struct.involution.max_residual,
-            unit_residual=struct.unit_residual,
-            decreasing=struct.decreasing.passed,
-            verdicts=(),
-            passed=False,
-            delta_used=cfg.exclusion_radius,
-            failure="structural",
-        )
-
-    deltas = [cfg.exclusion_radius] + [d for d in _DELTA_LADDER if d > cfg.exclusion_radius]
-    verdicts: tuple[EnvelopeVerdict, ...] = ()
-    delta_used = cfg.exclusion_radius
-    for k, delta in enumerate(deltas):
-        cfg_d = replace(cfg, exclusion_radius=delta)
-        verdicts = tuple(envelops(h, f, cfg_d) for f in system.maps)
-        delta_used = delta
-        if all(v.passed for v in verdicts):
-            return CandidateRecord(
-                envelope_label=h.label,
-                structural_passed=True,
-                involution_residual=struct.involution.max_residual,
-                unit_residual=struct.unit_residual,
-                decreasing=True,
-                verdicts=verdicts,
-                passed=True,
-                delta_used=delta,
-                failure=None,
-            )
-        if any(v.has_violation for v in verdicts):
-            failure = "violation"
-            break
-        pending = [iv for v in verdicts for iv in v.unresolved_intervals]
-        if k + 1 < len(deltas) and _near_fixed_points_only(pending):
-            continue
-        failure = "unresolved"
-        break
-    else:
-        failure = "unresolved"
-    return CandidateRecord(
+    record = CandidateRecord(
         envelope_label=h.label,
-        structural_passed=True,
+        structural_passed=struct.passed,
         involution_residual=struct.involution.max_residual,
         unit_residual=struct.unit_residual,
-        decreasing=True,
-        verdicts=verdicts,
+        decreasing=struct.decreasing.passed,
+        verdicts=(),
         passed=False,
-        delta_used=delta_used,
-        failure=failure,
+        delta_used=cfg.exclusion_radius,
+        failure="structural",
     )
+    if not struct.passed:
+        return record
+
+    def check(cfg_d: GridConfig):
+        verdicts = tuple(envelops(h, f, cfg_d) for f in system.maps)
+        return (
+            verdicts,
+            all(v.passed for v in verdicts),
+            any(v.has_violation for v in verdicts),
+            tuple(iv for v in verdicts for iv in v.unresolved_intervals),
+        )
+
+    verdicts, failure, delta = tangency_ladder(check, cfg)
+    return replace(record, verdicts=verdicts, passed=failure is None,
+                   delta_used=delta, failure=failure)
 
 
 def _composition_axioms(
     system: PeriodicSystem, cfg: GridConfig
 ) -> tuple[list[AxiomViolation], float]:
-    """Axiom check of Phi_p on the working interval, with the same
-    tangency retry as the envelope leg."""
+    """Axiom check of Phi_p on the working interval, on the tangency ladder."""
     hi = system.working_interval.hi
     fn = lambda t: compose_array(system, t)
-    deltas = [cfg.exclusion_radius] + [d for d in _DELTA_LADDER if d > cfg.exclusion_radius]
-    for k, delta in enumerate(deltas):
-        viol, _ = check_axioms_callable(fn, hi, replace(cfg, exclusion_radius=delta), "composition")
-        definite = [v for v in viol if v.kind == "violation"]
-        pending = [
-            iv
-            for v in viol
-            if v.kind == "unresolved"
-            for iv in [(v.x - 1e-12, v.x + 1e-12)]
-        ]
-        if definite or not viol:
-            return viol, delta
-        if k + 1 < len(deltas) and _near_fixed_points_only(pending):
-            continue
-        return viol, delta
+
+    def check(cfg_d: GridConfig):
+        viol, reports = check_axioms_callable(fn, hi, cfg_d, "composition")
+        legs = (reports["diagonal_above"], reports["diagonal_below"], reports["positivity"])
+        return (
+            viol,
+            not viol,
+            any(v.kind == "violation" for v in viol),
+            tuple(iv for r in legs if r is not None for iv in r.unresolved),
+        )
+
+    viol, _, delta = tangency_ladder(check, cfg)
     return viol, delta
 
 
@@ -463,7 +412,6 @@ def certify_global_stability(
 
     tolerances = {
         "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
         "seed_cells": cfg.seed_cells,
         "max_refinement_depth": cfg.max_refinement_depth,
         "exclusion_radius": cfg.exclusion_radius,
@@ -503,7 +451,7 @@ def certify_global_stability(
     chosen: Envelope | None = None
     chosen_rec: CandidateRecord | None = None
     for h in cand_list:
-        rec = _try_candidate(h, system, cfg)
+        rec = try_candidate(h, system, cfg)
         records.append(rec)
         if rec.passed:
             chosen = h
@@ -517,8 +465,8 @@ def certify_global_stability(
         if fit.feasible:
             widest = max(fit.feasible, key=lambda ab: ab[1] - ab[0])
             h = make_mobius(0.5 * (widest[0] + widest[1]))
-            notes.append(f"candidate list exhausted; scan suggested {h.label}")
-            rec = _try_candidate(h, system, cfg)
+            notes.append(f"candidate list exhausted; fit suggested {h.label}")
+            rec = try_candidate(h, system, cfg)
             records.append(rec)
             if rec.passed:
                 chosen = h
@@ -563,7 +511,7 @@ def certify_global_stability(
     all_definite = bool(records) and all(
         rec.failure in ("structural", "violation") for rec in records
     )
-    if all_definite and fit_intervals == () and not axioms_undecided:
+    if all_definite and fit.failure == "violation" and not axioms_undecided:
         notes.append("every candidate fails with a concrete witness and no "
                       "feasible scan parameter exists")
         return build("EnvelopeNotFound", cand_records=records, fit=fit_intervals)

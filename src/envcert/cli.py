@@ -24,10 +24,10 @@ from .certify import (
     closed_form_conditions,
     default_candidates,
     schwarzian_test,
-    two_cycle_oracle,
+    try_candidate,
 )
 from .config import SystemConfig, config_from_dict, config_to_system, parse_system_config
-from .envelopes import structural_check, envelops, fit_mobius
+from .envelopes import fit_mobius
 from .models import check_axioms_callable, verify_population_axioms
 from .numerics import GridConfig
 from .periodic import (
@@ -160,7 +160,6 @@ def _emit(command: str, cfg: SystemConfig, grid: GridConfig, result: dict, args)
         config=cfg.raw,
         tolerances={
             "abs_tol": grid.abs_tol,
-            "rel_tol": grid.rel_tol,
             "seed_cells": grid.seed_cells,
             "max_refinement_depth": grid.max_refinement_depth,
             "exclusion_radius": grid.exclusion_radius,
@@ -231,32 +230,18 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
 
     if cmd == "envelope-check":
         envs = cfg.envelopes or default_candidates(system)
-        entries = []
-        any_pass = False
-        all_definite = True
-        for h in envs:
-            struct = structural_check(h, grid)
-            verdicts = [envelops(h, f, grid) for f in system.maps] if struct.passed else []
-            passed = struct.passed and bool(verdicts) and all(v.passed for v in verdicts)
-            any_pass = any_pass or passed
-            if not passed:
-                definite = (not struct.passed) or any(v.has_violation for v in verdicts)
-                all_definite = all_definite and definite
-            entries.append({
-                "envelope": h.label,
-                "structural": plain(struct),
-                "verdicts": plain(verdicts),
-                "passed": passed,
-            })
-        _emit(cmd, cfg, grid, {"candidates": entries}, args)
-        if any_pass:
+        records = [try_candidate(h, system, grid) for h in envs]
+        _emit(cmd, cfg, grid, {"candidates": plain(records)}, args)
+        if any(r.passed for r in records):
             return 0
-        return 1 if all_definite else 2
+        return 1 if all(r.failure in ("structural", "violation") for r in records) else 2
 
     if cmd == "mobius-fit":
         fit = fit_mobius(system, grid, alpha_cells=args.alpha_cells)
         _emit(cmd, cfg, grid, plain(fit), args)
-        return 0 if fit.feasible else 1
+        if fit.feasible:
+            return 0
+        return 2 if fit.failure == "unresolved" else 1
 
     if cmd == "cycles":
         cycles = find_geometric_cycles(system, args.r_max, grid)

@@ -9,14 +9,14 @@ second condition is vacuous.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .models import PopulationModel, compile_expression
-from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots
+from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
 
 __all__ = [
     "Envelope",
@@ -32,10 +32,6 @@ __all__ = [
     "structural_check",
     "EnvelopeVerdict",
     "envelops",
-    "CommonEnvelopeReport",
-    "common_envelope",
-    "SandwichReport",
-    "sandwich_check",
     "FitReport",
     "fit_mobius",
 ]
@@ -293,108 +289,22 @@ def envelops(
 
 
 @dataclass(frozen=True)
-class CommonEnvelopeReport:
-    envelope_label: str
-    passed: bool
-    verdicts: tuple[EnvelopeVerdict, ...]
-
-
-def common_envelope(h: Envelope, system, cfg: GridConfig | None = None) -> CommonEnvelopeReport:
-    """One envelope against every map of a periodic system."""
-    verdicts = tuple(envelops(h, f, cfg) for f in system.maps)
-    return CommonEnvelopeReport(
-        envelope_label=h.label,
-        passed=all(v.passed for v in verdicts),
-        verdicts=verdicts,
-    )
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    passed: bool
-    left_order: SignReport
-    left_return: SignReport
-    right_order: SignReport | None
-    right_return: SignReport | None
-
-
-def sandwich_check(
-    h: Envelope, model: PopulationModel, cfg: GridConfig | None = None
-) -> SandwichReport:
-    """Two-sided pinch: f under h before 1 with f(h(x)) > x, and the
-    mirrored order past 1.  Points where h leaves f's domain carry no
-    enveloping claim, so the return legs treat them as vacuously true,
-    mirroring the masking done by envelops."""
-    if cfg is None:
-        cfg = GridConfig()
-    delta = cfg.exclusion_radius
-    dom_hi = model.domain.hi
-
-    left_order = adaptive_sign_check(
-        lambda t: h.eval_array(t) - model.eval_array(t),
-        (delta, 1.0 - delta),
-        "positive",
-        cfg,
-    )
-
-    def left_ret(t: np.ndarray) -> np.ndarray:
-        hv = h.eval_array(t)
-        ok = (hv >= 0) & (hv <= dom_hi)
-        with np.errstate(all="ignore"):
-            val = model.eval_array(np.clip(hv, 0.0, dom_hi)) - t
-        return np.where(ok, val, np.inf)
-
-    left_return = adaptive_sign_check(left_ret, (delta, 1.0 - delta), "positive", cfg)
-
-    right_order = None
-    right_return = None
-    hi_r = min(h.x_h, dom_hi)
-    if np.isfinite(hi_r) and hi_r > 1.0 + 2 * delta:
-        right_order = adaptive_sign_check(
-            lambda t: model.eval_array(t) - h.eval_array(t),
-            (1.0 + delta, hi_r - delta),
-            "positive",
-            cfg,
-        )
-
-        def right_ret(t: np.ndarray) -> np.ndarray:
-            hv = h.eval_array(t)
-            ok = (hv >= 0) & (hv <= dom_hi)
-            with np.errstate(all="ignore"):
-                val = t - model.eval_array(np.clip(hv, 0.0, dom_hi))
-            return np.where(ok, val, np.inf)
-
-        right_return = adaptive_sign_check(
-            right_ret, (1.0 + delta, hi_r - delta), "positive", cfg
-        )
-
-    passed = (
-        left_order.ok
-        and left_return.ok
-        and (right_order is None or right_order.ok)
-        and (right_return is None or right_return.ok)
-    )
-    return SandwichReport(
-        passed=passed,
-        left_order=left_order,
-        left_return=left_return,
-        right_order=right_order,
-        right_return=right_return,
-    )
-
-
-@dataclass(frozen=True)
 class FitReport:
     """Feasible alpha ranges of a Moebius fit on the grid k/alpha_cells.
 
     tested is the number of grid values decided, always alpha_cells: each
     one is either probed or ruled out by a probe's failure, through the
-    monotonicity of h_alpha in alpha (see fit_mobius).
+    monotonicity of h_alpha in alpha (see fit_mobius).  delta_used is the
+    exclusion radius the fit was decided at.  failure is None for a
+    non-empty fit, "violation" when every probe that ruled an alpha out
+    failed with a violation, and "unresolved" otherwise.
     """
 
     feasible: tuple[tuple[float, float], ...]
     alpha_step: float
     tested: int
+    delta_used: float
+    failure: str | None
 
     @property
     def empty(self) -> bool:
@@ -430,14 +340,28 @@ def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -
     one of the two arguments above.  A fit whose window is empty and
     whose last failing probe is a violation costs at most
     2*ceil(log2(alpha_cells + 1)) probes.  Run boundaries get one
-    midpoint refinement.  An empty result is a definite negative at this
-    resolution.
+    midpoint refinement.  The fit runs on the tangency ladder: an empty
+    fit whose ruling probes stay undecided only near 0 or 1 is redone at
+    the next exclusion radius.  An empty fit with failure "violation" is
+    a definite negative at this resolution.
     """
     if alpha_cells < 1:
         raise ValueError("alpha_cells must be at least 1")
     if cfg is None:
         cfg = GridConfig()
     maps = _maps_of(target)
+    runs, failure, delta = tangency_ladder(lambda c: _fit_on_grid(maps, c, alpha_cells), cfg)
+    return FitReport(
+        feasible=runs,
+        alpha_step=1.0 / alpha_cells,
+        tested=alpha_cells,
+        delta_used=delta,
+        failure=failure,
+    )
+
+
+def _fit_on_grid(maps: tuple[PopulationModel, ...], cfg: GridConfig, alpha_cells: int):
+    """fit_mobius at one exclusion radius, as a tangency_ladder check."""
     alphas = np.arange(alpha_cells) / alpha_cells
 
     def verdicts(alpha: float):
@@ -447,27 +371,33 @@ def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -
     def feasible_at(alpha: float) -> bool:
         return all(v.passed for v in verdicts(alpha))
 
-    def inside_fails(i: int) -> bool:
-        return not all(v.inside.ok for v in verdicts(alphas[i]))
+    @cache
+    def inside_failure(i: int) -> SignReport | None:
+        """The first failing inside check at alphas[i], None if every map passes it."""
+        return next((v.inside for v in verdicts(alphas[i]) if not v.inside.ok), None)
 
     @cache
     def failure(i: int) -> EnvelopeVerdict | None:
         """The first failing verdict at alphas[i], None if every map passes."""
         return next((v for v in verdicts(alphas[i]) if not v.passed), None)
 
-    end_in = bisect_left(range(alpha_cells), True, key=inside_fails)
+    end_in = bisect_left(range(alpha_cells), True, key=lambda i: inside_failure(i) is not None)
     # below end_in the inside leg holds, so failure(i) is the outside leg's
     start_out = bisect_left(range(end_in), True, key=lambda i: failure(i) is None)
     mask = np.zeros(alpha_cells, dtype=bool)
-    for i in range(start_out, end_in):
-        mask[i] = failure(i) is None
-    for i in reversed(range(start_out)):
+    # the checks that rule grid alphas out: the inside leg at end_in rules
+    # out every larger alpha, each failure below end_in its own alpha, and
+    # the outside violation that ends the walk down every smaller one too
+    ruling = [] if end_in == alpha_cells else [inside_failure(end_in)]
+    for i in reversed(range(end_in)):
         v = failure(i)
-        if v is not None and v.outside is not None and v.outside.status == "violation":
-            break
         mask[i] = v is None
+        if v is not None:
+            ruling.append(v.outside if v.inside.ok else v.inside)
+            if i < start_out and v.outside is not None and v.outside.status == "violation":
+                break
 
-    runs: list[list[float]] = []
+    runs: list[tuple[float, float]] = []
     i = 0
     while i < alpha_cells:
         if mask[i]:
@@ -483,14 +413,15 @@ def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -
                 mid = 0.5 * (alphas[j] + alphas[j + 1])
                 if feasible_at(mid):
                     hi = float(mid)
-            runs.append([lo, hi])
+            runs.append((lo, hi))
             i = j + 1
         else:
             i += 1
-    return FitReport(
-        feasible=tuple((a, b) for a, b in runs),
-        alpha_step=1.0 / alpha_cells,
-        tested=alpha_cells,
+    return (
+        tuple(runs),
+        bool(runs),
+        all(r.status == "violation" for r in ruling),
+        tuple(iv for r in ruling for iv in r.unresolved),
     )
 
 

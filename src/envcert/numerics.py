@@ -7,13 +7,14 @@ and evaluate elementwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "GridConfig",
+    "tangency_ladder",
     "SignReport",
     "adaptive_sign_check",
     "bracketed_root",
@@ -33,7 +34,6 @@ class GridConfig:
     seed_cells: int = 4096
     max_refinement_depth: int = 12
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
     exclusion_radius: float = 1e-4
 
     def __post_init__(self) -> None:
@@ -42,10 +42,43 @@ class GridConfig:
         if not 0 <= self.max_refinement_depth <= 30:
             raise ValueError("max_refinement_depth must lie in [0, 30]")
         # written so that NaN fails too: every comparison with it is False
-        if not (0 <= self.abs_tol < np.inf and 0 <= self.rel_tol < np.inf):
+        if not 0 <= self.abs_tol < np.inf:
             raise ValueError("tolerances must be finite and nonnegative")
         if not 0 < self.exclusion_radius < 0.5:
             raise ValueError("exclusion_radius must lie in (0, 0.5)")
+
+
+# Exclusion radii tried in turn when the only failures are undecided
+# cells hugging a fixed point (tangency at x = 1 shrinks margins below
+# any absolute tolerance).
+_DELTA_LADDER = (1e-3, 1e-2)
+_NEAR = 0.05  # how close to 0 or 1 an undecided cell must sit to retry
+
+
+def _near_fixed_points_only(intervals: tuple[tuple[float, float], ...]) -> bool:
+    return bool(intervals) and all(
+        (1.0 - _NEAR <= a and b <= 1.0 + _NEAR) or b <= _NEAR for a, b in intervals
+    )
+
+
+def tangency_ladder(check: Callable[[GridConfig], tuple], cfg: GridConfig) -> tuple:
+    """Run a check at cfg's exclusion radius, then at each larger one.
+
+    check(cfg) returns (result, passed, definite, unresolved): whether the
+    check passed, whether its failure is a definite violation, and the
+    intervals it left undecided.  The ladder stops at a pass, at a
+    violation and at undecided cells that are not all within _NEAR of 0
+    or 1.  It returns (result, failure, exclusion radius) of the last
+    rung run, where failure is None for a pass, else "violation" or
+    "unresolved".
+    """
+    rungs = [cfg.exclusion_radius] + [d for d in _DELTA_LADDER if d > cfg.exclusion_radius]
+    for delta in rungs:
+        result, passed, definite, unresolved = check(replace(cfg, exclusion_radius=delta))
+        failure = None if passed else "violation" if definite else "unresolved"
+        if failure != "unresolved" or not _near_fixed_points_only(unresolved):
+            break
+    return result, failure, delta
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .models import Interval, PopulationModel
-from .numerics import GridConfig, adaptive_sign_check, bracketed_root, grid_max, scan_roots
+from .numerics import GridConfig, grid_max, scan_roots
 
 __all__ = [
     "PeriodicSystem",
@@ -24,13 +24,10 @@ __all__ = [
     "compose_eval",
     "compose_array",
     "composition_derivative",
-    "composition_derivative_array",
     "iterate_orbit",
     "find_fixed_points",
     "GeometricCycle",
     "find_geometric_cycles",
-    "MonotonicityReport",
-    "monotonicity_bound",
 ]
 
 # Families whose maps fall back to zero at a finite endpoint; their
@@ -158,18 +155,6 @@ def composition_derivative(
         f = system.maps[(i + t) % system.period]
         prod *= f.deriv(val, 1)
         val = f.eval(val)
-    return prod
-
-
-def composition_derivative_array(
-    system: PeriodicSystem, x: np.ndarray, i: int = 0
-) -> np.ndarray:
-    val = np.asarray(x, dtype=float)
-    prod = np.ones_like(val)
-    for t in range(system.period):
-        f = system.maps[(i + t) % system.period]
-        prod = prod * f.deriv_array(val, 1)
-        val = f.eval_array(val)
     return prod
 
 
@@ -322,42 +307,3 @@ def find_geometric_cycles(
                 )
     found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
     return tuple(found)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Bounds the region where composition-level monotonicity arguments hold.
-
-    critical_bound: first zero of (Phi_p)' right of 0 (domain end if none).
-    dominance_bound: first point where Phi_p stops strictly exceeding
-    every individual map (domain end if none; period 1 trivially hi).
-    """
-
-    critical_bound: float
-    dominance_bound: float
-
-
-def monotonicity_bound(
-    system: PeriodicSystem, cfg: GridConfig | None = None
-) -> MonotonicityReport:
-    if cfg is None:
-        cfg = GridConfig()
-    hi = system.working_interval.hi
-    dcrit = scan_roots(
-        lambda t: composition_derivative_array(system, t), (1e-9, hi), cfg.seed_cells
-    )
-    c_phi = float(dcrit[0]) if dcrit.size else hi
-
-    if system.period == 1:
-        x_phi = hi
-    else:
-        def margin(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            best = np.full_like(t, -np.inf)
-            for f in system.maps:
-                best = np.maximum(best, f.eval_array(t))
-            return compose_array(system, t) - best
-
-        roots = scan_roots(margin, (1e-9, hi), cfg.seed_cells)
-        x_phi = float(roots[0]) if roots.size else hi
-    return MonotonicityReport(critical_bound=c_phi, dominance_bound=x_phi)

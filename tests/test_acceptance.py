@@ -15,9 +15,9 @@ from envcert import (
     certify_global_stability,
     check_decreasing,
     check_involution,
-    common_envelope,
     compose_array,
     diagnose_failure,
+    envelops,
     find_fixed_points,
     fit_mobius,
     iterate_orbit,
@@ -93,8 +93,7 @@ def test_criterion_2():
     assert float(gap(np.asarray([lo]))[0]) * float(gap(np.asarray([hi]))[0]) < 0
 
     h = make_mobius(0.5)
-    rep = common_envelope(h, system)
-    assert rep.passed
+    assert all(envelops(h, f).passed for f in system.maps)
 
     cert = certify_global_stability(system)
     assert cert.status == "CertifiedGlobal"

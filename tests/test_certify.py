@@ -2,9 +2,11 @@
 oracle, and the end-to-end verdicts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from envcert import certify as certify_mod
 from envcert import (
     certify_global_stability,
     closed_form_conditions,
@@ -251,3 +253,27 @@ def test_certificate_is_deterministic():
     a = certify_global_stability(seasonal_triple())
     b = certify_global_stability(seasonal_triple())
     assert a == b
+
+
+def test_envelope_not_found_needs_a_definite_fit():
+    # no Moebius envelope exists for this map: every probe of the fit
+    # fails with a violation
+    system = make_system([make_model("exponential-rational", {"a": 0.35, "b": 2.5})])
+    assert certify_global_stability(system).status == "EnvelopeNotFound"
+
+
+def test_an_undecided_empty_fit_is_not_a_negative(monkeypatch):
+    system = make_system([make_model("exponential-rational", {"a": 0.35, "b": 2.5})])
+    real = certify_mod.fit_mobius
+    monkeypatch.setattr(certify_mod, "fit_mobius",
+                        lambda *a, **k: replace(real(*a, **k), failure="unresolved"))
+    cert = certify_global_stability(system)
+    assert cert.fit_intervals == ()
+    assert cert.status == "Inconclusive"  # multiplier about -1.025
+
+
+def test_fit_rescue_is_noted():
+    system = make_system([make_model("exponential-rational", {"a": 0.32, "b": 2.48})])
+    cert = certify_global_stability(system)
+    assert cert.status == "CertifiedGlobal"
+    assert f"candidate list exhausted; fit suggested {cert.envelope}" in cert.notes

@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from envcert import config_from_dict, config_to_system, parse_system_config
+from envcert import envelopes as envelopes_mod
 from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, run_command
 
 BUNDLED = [
@@ -197,8 +199,8 @@ def test_envelope_check_definite_failure(tmp_path):
     assert run_command(["envelope-check", str(bad), "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     entry = doc["result"]["candidates"][0]
-    assert entry["envelope"] == "mobius(alpha=0.75)"
-    assert entry["structural"]["passed"] is True
+    assert entry["envelope_label"] == "mobius(alpha=0.75)"
+    assert entry["structural_passed"] is True
     assert entry["passed"] is False
     assert run_command(["envelope-check", "ricker_triple",
                         "--out", str(tmp_path / "ok.json")]) == 0
@@ -327,7 +329,7 @@ def test_non_finite_tolerance_exits_3(tol, yaml_tol, tmp_path, capsys):
     assert "tolerances must be finite" in err
     path = tmp_path / "grid.yaml"
     path.write_text("models:\n  - family: ricker\n    params: {r: 1.8}\n"
-                    f"grid:\n  rel_tol: {yaml_tol}\n")
+                    f"grid:\n  abs_tol: {yaml_tol}\n")
     assert run_command(["certify", str(path)]) == 3
     _, err = capsys.readouterr()
     assert "grid: tolerances must be finite" in err
@@ -351,3 +353,64 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["status"] == "CertifiedGlobal"
+
+
+QUADRATIC_TANGENCY = """\
+models:
+  - family: quadratic
+    params: {mu: 2.0}
+"""
+
+
+def _report(capsys, *argv):
+    code = run_command(list(argv))
+    out, _ = capsys.readouterr()
+    return code, json.loads(out)["result"]
+
+
+def _alpha(kind, param):
+    """The Moebius parameter of a certified envelope, None for a custom one."""
+    if kind == "reciprocal":
+        return 0.0
+    if kind == "piecewise-bh":
+        return (param - 2.0) / (param - 1.0)
+    return param if kind == "mobius" else None
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["quadratic_tangency"])
+def test_subcommands_agree(name, tmp_path, capsys):
+    # certify, envelope-check and mobius-fit decide the same envelopes on
+    # the same tangency ladder
+    if name == "quadratic_tangency":
+        name = str(tmp_path / "quadratic_tangency.yaml")
+        Path(name).write_text(QUADRATIC_TANGENCY)
+    code, cert = _report(capsys, "certify", name)
+    if cert["status"] != "CertifiedGlobal":
+        return
+    chosen = cert["candidates"][-1]
+    assert chosen["passed"] and chosen["envelope_label"] == cert["envelope"]
+    code, check = _report(capsys, "envelope-check", name)
+    assert code == 0
+    assert chosen in check["candidates"]
+    alpha = _alpha(cert["envelope_kind"], cert["envelope_param"])
+    if alpha is not None:
+        code, fit = _report(capsys, "mobius-fit", name)
+        assert code == 0
+        assert any(lo <= alpha <= hi for lo, hi in fit["feasible"]), (alpha, fit)
+
+
+def test_mobius_fit_exits_2_on_an_unresolved_empty_fit(monkeypatch, capsys):
+    # every probe comes back undecided at x = 0.5, which no wider
+    # exclusion radius can resolve
+    real = envelopes_mod.envelops
+
+    def undecided(h, model, cfg=None):
+        v = real(h, model, cfg)
+        inside = replace(v.inside, status="unresolved", unresolved=((0.49, 0.51),))
+        return replace(v, passed=False, inside=inside)
+
+    monkeypatch.setattr(envelopes_mod, "envelops", undecided)
+    code, fit = _report(capsys, "mobius-fit", "ricker_triple", "--alpha-cells", "20")
+    assert code == 2
+    assert fit["feasible"] == []
+    assert (fit["failure"], fit["delta_used"]) == ("unresolved", 1e-4)

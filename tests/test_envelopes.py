@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from envcert import (
     check_decreasing,
     check_involution,
-    common_envelope,
     envelops,
     fit_mobius,
     make_custom_envelope,
@@ -19,13 +18,12 @@ from envcert import (
     make_piecewise_bh,
     make_reciprocal,
     make_system,
-    sandwich_check,
     structural_check,
 )
 from envcert import envelopes as envelopes_mod
 from envcert.cli import _bundled_names, _load_config
 from envcert.config import config_to_system
-from envcert.envelopes import FitReport, _maps_of
+from envcert.envelopes import _maps_of
 from envcert.numerics import GridConfig
 
 
@@ -140,34 +138,9 @@ def test_common_envelope_over_mixed_system():
         make_model("ricker", {"r": 1.5}),
         make_model("beverton-holt", {"mu": 3.0, "c": 1.0}),
     ])
-    rep = common_envelope(make_mobius(0.5), mix)
-    assert rep.passed
-    assert len(rep.verdicts) == 2
-
-
-def test_sandwich_passes_for_enveloped_map():
-    f = make_model("ricker", {"r": 1.5})
-    rep = sandwich_check(make_mobius(0.5), f)
-    assert rep.passed
-
-
-def test_sandwich_fails_for_overcompensating_quadratic():
-    # |L'(1)| = 2 beats any decreasing involution near 1
-    f = make_model("quadratic", {"mu": 3.0})
-    rep = sandwich_check(make_mobius(0.75), f)
-    assert not rep.passed
-
-
-def test_envelops_implies_sandwich():
-    cases = [
-        (make_mobius(0.5), make_model("ricker", {"r": 1.8})),
-        (make_mobius(0.75), make_model("quadratic", {"mu": 2.0})),
-        (make_reciprocal(), make_model("beverton-holt", {"mu": 5.0, "c": 1.5})),
-    ]
-    cfg = GridConfig(exclusion_radius=1e-2)
-    for h, f in cases:
-        if envelops(h, f, cfg).passed:
-            assert sandwich_check(h, f, cfg).passed, (h.label, f.label)
+    verdicts = [envelops(make_mobius(0.5), f) for f in mix.maps]
+    assert all(v.passed for v in verdicts)
+    assert len(verdicts) == 2
 
 
 def test_fit_interval_contains_known_alpha():
@@ -186,7 +159,8 @@ def test_fit_bh_contains_map_specific_alpha():
 
 
 def _scan_fit(target, cfg=None, alpha_cells=1000):
-    """Reference: the linear scan that probes every grid alpha in full."""
+    """Reference: the linear scan that probes every grid alpha in full at
+    one exclusion radius; (feasible, alpha_step, tested) of its fit."""
     if cfg is None:
         cfg = GridConfig()
     maps = _maps_of(target)
@@ -217,15 +191,21 @@ def _scan_fit(target, cfg=None, alpha_cells=1000):
             i = j + 1
         else:
             i += 1
-    return FitReport(feasible=tuple(runs), alpha_step=1.0 / alpha_cells,
-                     tested=alpha_cells)
+    return tuple(runs), 1.0 / alpha_cells, alpha_cells
+
+
+def _matches_scan(rep, target, cfg=None, alpha_cells=1000):
+    """rep is the linear scan's fit at the exclusion radius rep used."""
+    cfg = replace(cfg or GridConfig(), exclusion_radius=rep.delta_used)
+    scan = _scan_fit(target, cfg, alpha_cells)
+    return (rep.feasible, rep.alpha_step, rep.tested) == scan and (rep.failure is None) == bool(scan[0])
 
 
 @pytest.mark.parametrize("name", _bundled_names())
 def test_fit_matches_linear_scan_on_bundled_configs(name):
     cfg = _load_config(name)
     system = config_to_system(cfg)
-    assert fit_mobius(system, cfg.grid, 200) == _scan_fit(system, cfg.grid, 200)
+    assert _matches_scan(fit_mobius(system, cfg.grid, 200), system, cfg.grid, 200)
 
 
 _FAMILIES = {
@@ -251,7 +231,7 @@ def test_fit_matches_linear_scan_on_family_systems(maps, delta):
     except ValueError:  # e.g. a steep map whose image leaves its domain
         assume(False)
     cfg = GridConfig(seed_cells=256, exclusion_radius=delta)
-    assert fit_mobius(system, cfg, 100) == _scan_fit(system, cfg, 100)
+    assert _matches_scan(fit_mobius(system, cfg, 100), system, cfg, 100)
 
 
 @pytest.mark.parametrize("maps, cfg", [
@@ -269,7 +249,7 @@ def test_fit_matches_linear_scan_on_family_systems(maps, delta):
 def test_fit_matches_linear_scan_on_family_examples(maps, cfg):
     system = make_system(maps)
     rep = fit_mobius(system, cfg, 200)
-    assert rep == _scan_fit(system, cfg, 200)
+    assert _matches_scan(rep, system, cfg, 200)
     assert not rep.empty
 
 
@@ -291,6 +271,7 @@ def test_empty_fit_costs_two_bisections(monkeypatch):
     calls = _count_envelops(monkeypatch)
     rep = fit_mobius(system, cfg.grid, 1000)
     assert rep.empty
+    assert rep.failure == "violation"
     assert rep.tested == 1000
     assert len(calls) <= 2 * math.ceil(math.log2(1000)) * system.period
 
@@ -323,7 +304,8 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     expected = _scan_fit(f, alpha_cells=40)
     calls = _count_envelops(monkeypatch)
     rep = fit_mobius(f, alpha_cells=40)
-    assert rep == expected
+    assert (rep.feasible, rep.alpha_step, rep.tested) == expected
+    assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
     # the window (0.3, 1) is probed once each, plus the bisections and
     # the one step down from 0.3 to the violation at 0.275
@@ -347,7 +329,7 @@ def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
     monkeypatch.setattr(envelopes_mod, "envelops", unresolved_at_half)
     rep = fit_mobius(f, alpha_cells=40)
     assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
-    assert rep == _scan_fit(f, alpha_cells=40)
+    assert _matches_scan(rep, f, alpha_cells=40)
 
 
 def test_fit_rejects_empty_grid():

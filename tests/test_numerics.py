@@ -14,6 +14,7 @@ from envcert.numerics import (
     fd_derivative,
     grid_max,
     scan_roots,
+    tangency_ladder,
 )
 
 
@@ -27,9 +28,48 @@ def test_grid_config_rejects_bad_values():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             GridConfig(abs_tol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            GridConfig(rel_tol=bad)
-    assert GridConfig(abs_tol=0.0, rel_tol=0.0).abs_tol == 0.0
+    assert GridConfig(abs_tol=0.0).abs_tol == 0.0
+
+
+def _stub_check(*outcomes):
+    """A ladder check that returns the given (failure, unresolved) per rung
+    and records the exclusion radius of each call."""
+    radii = []
+
+    def check(cfg):
+        radii.append(cfg.exclusion_radius)
+        failure, unresolved = outcomes[len(radii) - 1]
+        return f"rung {len(radii) - 1}", failure is None, failure == "violation", unresolved
+
+    return check, radii
+
+
+def test_ladder_retries_a_tangency_at_one():
+    check, radii = _stub_check(("unresolved", ((0.9995, 0.9999),)), (None, ()))
+    assert tangency_ladder(check, GridConfig()) == ("rung 1", None, 1e-3)
+    assert radii == [1e-4, 1e-3]
+
+
+def test_ladder_stops_at_undecided_cells_away_from_fixed_points():
+    check, radii = _stub_check(("unresolved", ((0.0001, 0.0002), (0.49, 0.51))))
+    assert tangency_ladder(check, GridConfig()) == ("rung 0", "unresolved", 1e-4)
+    assert radii == [1e-4]
+
+
+def test_ladder_stops_at_a_violation():
+    check, radii = _stub_check(("violation", ()))
+    assert tangency_ladder(check, GridConfig()) == ("rung 0", "violation", 1e-4)
+    assert radii == [1e-4]
+
+
+def test_ladder_ends_unresolved_on_its_last_rung():
+    near_one = ("unresolved", ((0.97, 1.02),))
+    check, radii = _stub_check(near_one, near_one, near_one)
+    assert tangency_ladder(check, GridConfig()) == ("rung 2", "unresolved", 1e-2)
+    assert radii == [1e-4, 1e-3, 1e-2]
+    # a radius past the ladder's rungs leaves a single rung
+    check, radii = _stub_check(near_one)
+    assert tangency_ladder(check, GridConfig(exclusion_radius=0.02))[1:] == ("unresolved", 0.02)
 
 
 def test_sign_check_accepts_strictly_positive():

@@ -17,7 +17,6 @@ from envcert import (
     iterate_orbit,
     make_model,
     make_system,
-    monotonicity_bound,
 )
 from envcert.numerics import GridConfig, fd_derivative
 
@@ -164,23 +163,6 @@ def test_stable_ricker_has_no_two_cycle():
     single = ricker_system(1.8)
     cycles = find_geometric_cycles(single, 2)
     assert all(c.period_count == 1 for c in cycles)
-
-
-def test_monotonicity_bounds_single_map():
-    single = ricker_system(1.8)
-    rep = monotonicity_bound(single)
-    # critical point of the ricker map sits at 1/r
-    assert rep.critical_bound == pytest.approx(1.0 / 1.8, abs=1e-6)
-    assert rep.dominance_bound == pytest.approx(single.working_interval.hi)
-
-
-def test_monotonicity_bounds_quadratic_pair():
-    pair = make_system([
-        make_model("quadratic", {"mu": 2.0}),
-        make_model("quadratic", {"mu": 1.0}),
-    ])
-    rep = monotonicity_bound(pair)
-    assert 0.0 < rep.critical_bound <= 0.75 + 1e-9
 
 
 def test_system_label_and_immutability():
