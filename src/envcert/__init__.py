@@ -8,7 +8,6 @@ the envcert command-line tool.
 from .certify import (
     CandidateRecord,
     ConditionsReport,
-    DiagnosisReport,
     LocalStability,
     OracleReport,
     SchwarzianReport,
@@ -16,7 +15,6 @@ from .certify import (
     certify_global_stability,
     closed_form_conditions,
     default_candidates,
-    diagnose_failure,
     local_stability,
     schwarzian,
     schwarzian_test,
@@ -27,10 +25,7 @@ from .envelopes import (
     Envelope,
     EnvelopeVerdict,
     FitReport,
-    InvolutionReport,
     StructuralReport,
-    check_decreasing,
-    check_involution,
     envelops,
     fit_mobius,
     make_custom_envelope,
@@ -60,7 +55,6 @@ from .periodic import (
     GeometricCycle,
     PeriodicSystem,
     compose_array,
-    compose_eval,
     composition_derivative,
     find_fixed_points,
     find_geometric_cycles,

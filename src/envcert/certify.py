@@ -38,7 +38,6 @@ from .periodic import (
     compose_array,
     composition_derivative,
     find_fixed_points,
-    make_system,
 )
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "default_candidates",
     "try_candidate",
     "certify_global_stability",
-    "DiagnosisReport",
-    "diagnose_failure",
     "ConditionRow",
     "ConditionsReport",
     "closed_form_conditions",
@@ -187,10 +184,9 @@ class OracleReport:
     # deliberately not reported.
 
 
-def two_cycle_oracle(target, cfg: GridConfig | None = None) -> OracleReport:
+def two_cycle_oracle(system: PeriodicSystem, cfg: GridConfig | None = None) -> OracleReport:
     if cfg is None:
         cfg = GridConfig()
-    system = target if isinstance(target, PeriodicSystem) else make_system([target])
     hi = system.working_interval.hi
     delta = cfg.exclusion_radius
     p = system.period
@@ -320,9 +316,9 @@ def try_candidate(
     record = CandidateRecord(
         envelope_label=h.label,
         structural_passed=struct.passed,
-        involution_residual=struct.involution.max_residual,
+        involution_residual=struct.involution_residual,
         unit_residual=struct.unit_residual,
-        decreasing=struct.decreasing.passed,
+        decreasing=struct.decreasing,
         verdicts=(),
         passed=False,
         delta_used=cfg.exclusion_radius,
@@ -512,118 +508,14 @@ def certify_global_stability(
         rec.failure in ("structural", "violation") for rec in records
     )
     if all_definite and fit.failure == "violation" and not axioms_undecided:
-        notes.append("every candidate fails with a concrete witness and no "
-                      "feasible scan parameter exists")
+        notes.append("every candidate fails with a concrete witness and the "
+                      "Moebius fit is empty with a violation")
         return build("EnvelopeNotFound", cand_records=records, fit=fit_intervals)
     if multiplier is not None and abs(multiplier) < 1.0 - 1e-12:
         notes.append("local contraction holds at the fixed point but no "
                       "envelope could be verified")
         return build("LocalOnly", cand_records=records, fit=fit_intervals)
     return build("Inconclusive", cand_records=records, fit=fit_intervals)
-
-
-# ---------------------------------------------------------------------------
-# Failure diagnosis
-
-
-@dataclass(frozen=True)
-class DiagnosisReport:
-    applicable: bool
-    fixed_points: tuple[float, ...]
-    extra_fixed_points: tuple[float, ...]
-    composition_violations: tuple[AxiomViolation, ...]
-    windows: tuple[tuple[float, float], ...]
-    message: str
-
-
-def diagnose_failure(
-    system: PeriodicSystem, cfg: GridConfig | None = None
-) -> DiagnosisReport:
-    """Explain why no common envelope can exist for a failing system.
-
-    For u past 1, any shared envelope must send u below every map value
-    at u, yet above every preimage of u under every map's rising branch;
-    windows where those bands cross are reported, together with the
-    composition's fixed-point structure.
-    """
-    if cfg is None:
-        cfg = GridConfig()
-    W = system.working_interval
-    viol, _ = check_axioms_callable(
-        lambda t: compose_array(system, t), W.hi, cfg, "composition"
-    )
-    definite = tuple(v for v in viol if v.kind == "violation")
-    fps = tuple(float(r) for r in find_fixed_points(system, cfg))
-    extra = tuple(f for f in fps if f > 1e-8 and abs(f - 1.0) > 1e-7)
-
-    if not definite and not extra:
-        return DiagnosisReport(
-            applicable=False,
-            fixed_points=fps,
-            extra_fixed_points=(),
-            composition_violations=tuple(viol),
-            windows=(),
-            message="the composition satisfies the population-model axioms; "
-                    "nothing to diagnose",
-        )
-
-    # Bands: lower(u) = largest pre-1 point some map lifts to u or above;
-    # upper(u) = smallest map value at u.  lower >= upper leaves no room
-    # for h(u).
-    ys = np.linspace(1e-6, 1.0, 20001)
-    suffix = []
-    for f in system.maps:
-        vals = f.eval_array(ys)
-        suffix.append(np.maximum.accumulate(vals[::-1])[::-1])
-    u_hi = min(W.hi, min(f.domain.hi for f in system.maps))
-    us = np.linspace(1.0 + 1e-6, u_hi, 20001)
-    lower = np.full_like(us, -np.inf)
-    for sfx in suffix:
-        # sfx is nonincreasing; rightmost index with sfx >= u
-        idx = np.searchsorted(-sfx, -us, side="right") - 1
-        got = np.where(idx >= 0, ys[np.clip(idx, 0, len(ys) - 1)], -np.inf)
-        lower = np.maximum(lower, got)
-    upper = np.full_like(us, np.inf)
-    for f in system.maps:
-        upper = np.minimum(upper, f.eval_array(us))
-    crossed = lower >= upper
-    windows: list[tuple[float, float]] = []
-    i = 0
-    n = len(us)
-    while i < n:
-        if crossed[i]:
-            j = i
-            while j + 1 < n and crossed[j + 1]:
-                j += 1
-            windows.append((float(us[i]), float(us[j])))
-            i = j + 1
-        else:
-            i += 1
-
-    parts = []
-    if extra:
-        pts = ", ".join(f"{x:.6f}" for x in extra)
-        parts.append(
-            f"the composition has extra positive fixed points ({pts}) "
-            "besides 1, so it cannot converge to 1 from everywhere"
-        )
-    if definite:
-        v = definite[0]
-        parts.append(f"composition axiom failure: {v.detail}")
-    if windows:
-        w = "; ".join(f"({a:.6f}, {b:.6f})" for a, b in windows)
-        parts.append(
-            "no decreasing involution can stay above every rising branch "
-            f"and below every map value on u in {w}"
-        )
-    return DiagnosisReport(
-        applicable=True,
-        fixed_points=fps,
-        extra_fixed_points=extra,
-        composition_violations=definite,
-        windows=tuple(windows),
-        message="; ".join(parts),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from .models import PopulationModel, compile_expression
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
+from .periodic import PeriodicSystem
 
 __all__ = [
     "Envelope",
@@ -24,10 +25,6 @@ __all__ = [
     "make_reciprocal",
     "make_piecewise_bh",
     "make_custom_envelope",
-    "InvolutionReport",
-    "check_involution",
-    "DecreasingReport",
-    "check_decreasing",
     "StructuralReport",
     "structural_check",
     "EnvelopeVerdict",
@@ -134,20 +131,30 @@ def _check_span(h: Envelope) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class InvolutionReport:
-    passed: bool
-    max_residual: float
-    worst_x: float
-    positive: bool
-    grid_points: int
+class StructuralReport:
+    """The gate before enveloping, on 4*seed_cells + 1 points of (0, x_h).
 
-
-def check_involution(h: Envelope, cfg: GridConfig | None = None) -> InvolutionReport:
-    """Max |h(h(x)) - x| on (0, x_h), with a local refinement pass.
-
-    h must stay positive on the span; the involution residual must not
-    exceed 1e-9.
+    involution_passed: h is finite and positive there and |h(h(x)) - x|
+    stays within 1e-9, also on 4097 points around the worst grid cell.
+    decreasing: h drops strictly between neighbouring grid points.
+    unit_residual: |h(1) - 1|, at most 1e-12 to pass.
     """
+
+    passed: bool
+    involution_passed: bool
+    involution_residual: float
+    decreasing: bool
+    unit_residual: float
+
+
+def _involution_residual(h: Envelope, xs: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):
+        res = np.abs(h.eval_array(hv) - xs)
+    return np.where(np.isfinite(res), res, np.inf)
+
+
+def structural_check(h: Envelope, cfg: GridConfig | None = None) -> StructuralReport:
+    """Involution + strict decrease + h(1) = 1, the gate before enveloping."""
     if cfg is None:
         cfg = GridConfig()
     lo, hi = _check_span(h)
@@ -155,71 +162,21 @@ def check_involution(h: Envelope, cfg: GridConfig | None = None) -> InvolutionRe
     xs = np.linspace(lo, hi, n)
     hv = h.eval_array(xs)
     positive = bool(np.isfinite(hv).all() and (hv > 0).all())
-    with np.errstate(all="ignore"):
-        res = np.abs(h.eval_array(hv) - xs)
-    res = np.where(np.isfinite(res), res, np.inf)
+    res = _involution_residual(h, xs, hv)
     i = int(np.argmax(res))
     # refine around the worst cell
-    a, b = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
-    fine = np.linspace(a, b, 4097)
+    fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], 4097)
+    worst = max(float(res[i]), float(_involution_residual(h, fine, h.eval_array(fine)).max()))
+    involution_passed = positive and worst <= 1e-9
     with np.errstate(all="ignore"):
-        fres = np.abs(h.eval_array(h.eval_array(fine)) - fine)
-    fres = np.where(np.isfinite(fres), fres, np.inf)
-    j = int(np.argmax(fres))
-    worst = max(float(res[i]), float(fres[j]))
-    worst_x = float(fine[j]) if fres[j] >= res[i] else float(xs[i])
-    return InvolutionReport(
-        passed=positive and worst <= 1e-9,
-        max_residual=worst,
-        worst_x=worst_x,
-        positive=positive,
-        grid_points=n + 4097,
-    )
-
-
-@dataclass(frozen=True)
-class DecreasingReport:
-    passed: bool
-    min_drop: float
-    worst_x: float
-
-
-def check_decreasing(h: Envelope, cfg: GridConfig | None = None) -> DecreasingReport:
-    """Strict decrease of h across a uniform grid on (0, x_h)."""
-    if cfg is None:
-        cfg = GridConfig()
-    lo, hi = _check_span(h)
-    xs = np.linspace(lo, hi, 4 * cfg.seed_cells + 1)
-    hv = h.eval_array(xs)
-    drops = hv[:-1] - hv[1:]
-    if not np.isfinite(drops).all():
-        bad = int(np.nonzero(~np.isfinite(drops))[0][0])
-        return DecreasingReport(False, float("nan"), float(xs[bad]))
-    i = int(np.argmin(drops))
-    return DecreasingReport(
-        passed=bool((drops > 0).all()),
-        min_drop=float(drops[i]),
-        worst_x=float(xs[i]),
-    )
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    passed: bool
-    involution: InvolutionReport
-    decreasing: DecreasingReport
-    unit_residual: float
-
-
-def structural_check(h: Envelope, cfg: GridConfig | None = None) -> StructuralReport:
-    """Involution + strict decrease + h(1) = 1, the gate before enveloping."""
-    inv = check_involution(h, cfg)
-    dec = check_decreasing(h, cfg)
+        drops = hv[:-1] - hv[1:]
+    decreasing = bool(np.isfinite(drops).all() and (drops > 0).all())
     unit = abs(h.eval(1.0) - 1.0)
     return StructuralReport(
-        passed=inv.passed and dec.passed and unit <= 1e-12,
-        involution=inv,
-        decreasing=dec,
+        passed=involution_passed and decreasing and unit <= 1e-12,
+        involution_passed=involution_passed,
+        involution_residual=worst,
+        decreasing=decreasing,
         unit_residual=unit,
     )
 
@@ -311,7 +268,9 @@ class FitReport:
         return not self.feasible
 
 
-def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -> FitReport:
+def fit_mobius(
+    system: PeriodicSystem, cfg: GridConfig | None = None, alpha_cells: int = 1000
+) -> FitReport:
     """Feasible alpha ranges for which the Moebius envelope works.
 
     The grid is alpha = k/alpha_cells for k < alpha_cells, and alpha is
@@ -349,8 +308,9 @@ def fit_mobius(target, cfg: GridConfig | None = None, alpha_cells: int = 1000) -
         raise ValueError("alpha_cells must be at least 1")
     if cfg is None:
         cfg = GridConfig()
-    maps = _maps_of(target)
-    runs, failure, delta = tangency_ladder(lambda c: _fit_on_grid(maps, c, alpha_cells), cfg)
+    runs, failure, delta = tangency_ladder(
+        lambda c: _fit_on_grid(system.maps, c, alpha_cells), cfg
+    )
     return FitReport(
         feasible=runs,
         alpha_step=1.0 / alpha_cells,
@@ -424,11 +384,3 @@ def _fit_on_grid(maps: tuple[PopulationModel, ...], cfg: GridConfig, alpha_cells
         tuple(iv for r in ruling for iv in r.unresolved),
     )
 
-
-def _maps_of(target) -> tuple[PopulationModel, ...]:
-    if isinstance(target, PopulationModel):
-        return (target,)
-    maps = getattr(target, "maps", None)
-    if maps is None:
-        raise ValueError("target must be a model or a periodic system")
-    return tuple(maps)

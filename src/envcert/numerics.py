@@ -26,6 +26,14 @@ __all__ = [
 # Sample offsets inside each cell: endpoints, quartiles, midpoint.
 _OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
+# Cells sampled per call of g.  A block's sample arrays stay at 80 KB,
+# under glibc's 128 KB mmap threshold.  Whole 4096-cell arrays (160 KB)
+# made glibc return the freed heap top to the kernel after every check in
+# some heap layouts, so each check faulted its temporaries in afresh:
+# 33k minor faults and ~70 ms of system time per certify call that runs
+# the Moebius fit, measured on a 2-vCPU VM with Python 3.11.
+_BLOCK_CELLS = 2048
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -155,29 +163,34 @@ def adaptive_sign_check(
         if n == 0:
             break
         cells_checked += n
-        xs = cell_lo[:, None] + (cell_hi - cell_lo)[:, None] * _OFFSETS[None, :]
-        with np.errstate(all="ignore"):
-            vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(n, 5)
-        finite = np.isfinite(vals)
-        if finite.any():
-            m = float(np.abs(vals[finite]).min())
-            min_abs = min(min_abs, m)
-        bad = finite & (vals < -cfg.abs_tol)
-        if bad.any():
-            xs_bad = xs[bad]
-            k = int(np.argmin(xs_bad))
+        keep = np.empty(n, dtype=bool)
+        witness = None
+        for s in range(0, n, _BLOCK_CELLS):
+            b_lo, b_hi = cell_lo[s:s + _BLOCK_CELLS], cell_hi[s:s + _BLOCK_CELLS]
+            xs = b_lo[:, None] + (b_hi - b_lo)[:, None] * _OFFSETS[None, :]
+            with np.errstate(all="ignore"):
+                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(-1, 5)
+            finite = np.isfinite(vals)
+            if finite.any():
+                min_abs = min(min_abs, float(np.abs(vals[finite]).min()))
+            bad = finite & (vals < -cfg.abs_tol)
+            if bad.any():
+                # the leftmost offending sample; on a tie the earlier block's
+                k = int(np.argmin(xs[bad]))
+                if witness is None or xs[bad][k] < witness[0]:
+                    witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
+            # +inf satisfies the claim (masked/vacuous samples); NaN does not.
+            keep[s:s + _BLOCK_CELLS] = ~(vals > cfg.abs_tol).all(axis=1)
+        if witness is not None:
             return SignReport(
                 status="violation",
                 claim=claim,
                 interval=(lo, hi),
                 cells_checked=cells_checked,
                 min_abs_value=min_abs,
-                witness=float(xs_bad[k]),
-                witness_value=float(sgn * vals[bad][k]),
+                witness=witness[0],
+                witness_value=witness[1],
             )
-        # +inf satisfies the claim (masked/vacuous samples); NaN does not.
-        ok = (vals > cfg.abs_tol).all(axis=1)
-        keep = ~ok
         if not keep.any():
             cell_lo = cell_lo[:0]
             break
@@ -207,12 +220,15 @@ def adaptive_sign_check(
     )
 
 
+# Secant/bisection steps bracketed_root takes before returning the midpoint.
+_MAX_ITER = 200
+
+
 def bracketed_root(
     g: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Locate a root of g in [a, b] given a sign change at the ends.
 
@@ -234,7 +250,7 @@ def bracketed_root(
         raise ValueError(f"no sign change on [{a}, {b}]")
 
     use_secant = True
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if b - a <= tol:
             break
         x = None
@@ -261,11 +277,14 @@ def bracketed_root(
     return 0.5 * (a + b)
 
 
+# Bracket width at which scan_roots stops refining a root.
+_ROOT_TOL = 1e-10
+
+
 def scan_roots(
     g: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     seed_cells: int = 4096,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """All sign-change roots of g on an interval, one per bracket.
 
@@ -284,11 +303,11 @@ def scan_roots(
     fin = np.isfinite(vs)
     crosses = fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0)
     for i in np.nonzero(crosses)[0]:
-        roots.append(bracketed_root(lambda t: float(g(np.asarray([t]))[0]), xs[i], xs[i + 1], tol=tol))
+        roots.append(bracketed_root(lambda t: float(g(np.asarray([t]))[0]), xs[i], xs[i + 1], tol=_ROOT_TOL))
     roots.sort()
     out: list[float] = []
     for r in roots:
-        radius = max(10 * tol, 1e-9 * max(1.0, abs(r)))
+        radius = max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r)))
         if not out or r - out[-1] > radius:
             out.append(r)
     return np.asarray(out)
@@ -337,21 +356,22 @@ def fd_derivative(
     return (-13 * d1 + 8 * d2 - d3) / (8 * h ** 3)
 
 
+# Grid points grid_max samples before its ternary polish.
+_GRID_MAX_SAMPLES = 8193
+
+
 def grid_max(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    samples: int = 8193,
+    g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float]:
     """(argmax, max) of g on [lo, hi]: grid scan plus local ternary polish."""
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, _GRID_MAX_SAMPLES)
     with np.errstate(all="ignore"):
         vs = np.asarray(g(xs), dtype=float)
     if not np.isfinite(vs).any():
         raise ValueError("no finite values on the grid")
     i = int(np.nanargmax(vs))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, samples - 1)]
+    b = xs[min(i + 1, _GRID_MAX_SAMPLES - 1)]
     for _ in range(120):
         if b - a <= 1e-13 * max(1.0, abs(b)):
             break

@@ -21,7 +21,6 @@ from .numerics import GridConfig, grid_max, scan_roots
 __all__ = [
     "PeriodicSystem",
     "make_system",
-    "compose_eval",
     "compose_array",
     "composition_derivative",
     "iterate_orbit",
@@ -111,27 +110,6 @@ def make_system(models: Sequence[PopulationModel]) -> PeriodicSystem:
     return PeriodicSystem(maps=maps, period=p, working_interval=Interval(0.0, m0))
 
 
-def compose_eval(
-    system: PeriodicSystem, x: float, n: int | None = None, i: int = 0
-) -> float:
-    """Phi_n from phase i at a point, with per-step domain checks."""
-    p = system.period
-    if n is None:
-        n = p
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= i < p:
-        raise ValueError(f"phase must lie in [0, {p})")
-    val = float(x)
-    for t in range(n):
-        f = system.maps[(i + t) % p]
-        try:
-            val = f.eval(val)
-        except ValueError as exc:
-            raise ValueError(f"composition left the domain at step {t}: {exc}") from exc
-    return val
-
-
 def compose_array(
     system: PeriodicSystem, x: np.ndarray, n: int | None = None, i: int = 0
 ) -> np.ndarray:
@@ -158,28 +136,30 @@ def composition_derivative(
     return prod
 
 
+def _checked_walk(system: PeriodicSystem, x0: float, n: int, i: int = 0) -> list[float]:
+    """x0 and its n iterates from phase i, each step domain-checked by f.eval."""
+    p = system.period
+    seq = [float(x0)]
+    for t in range(n):
+        try:
+            seq.append(system.maps[(i + t) % p].eval(seq[-1]))
+        except ValueError as exc:
+            raise ValueError(f"orbit escaped at step {t}: {exc}") from exc
+    return seq
+
+
 def iterate_orbit(
     system: PeriodicSystem, x0: float, num_periods: int
 ) -> np.ndarray:
     """Orbit of x0 over whole periods; index t holds the state after t steps."""
     if num_periods < 1:
         raise ValueError("num_periods must be at least 1")
-    n = system.period * num_periods
-    out = np.empty(n + 1)
     val = float(x0)
     if not system.working_interval.contains(val, 1e-12):
         raise ValueError(
             f"x0={val} outside working interval [0, {system.working_interval.hi:g}]"
         )
-    out[0] = val
-    for t in range(n):
-        f = system.maps[t % system.period]
-        try:
-            val = f.eval(val)
-        except ValueError as exc:
-            raise ValueError(f"orbit escaped at step {t}: {exc}") from exc
-        out[t + 1] = val
-    return out
+    return np.asarray(_checked_walk(system, val, system.period * num_periods))
 
 
 def find_fixed_points(
@@ -195,7 +175,7 @@ def find_fixed_points(
         cfg = GridConfig()
     hi = system.working_interval.hi
     g = lambda t: compose_array(system, t) - t
-    roots = [float(r) for r in scan_roots(g, (0.0, hi), cfg.seed_cells, tol=1e-10)]
+    roots = [float(r) for r in scan_roots(g, (0.0, hi), cfg.seed_cells)]
     for anchor in (0.0, 1.0):
         res = abs(float(compose_array(system, np.asarray([anchor]))[0]) - anchor)
         if res <= 1e-9:
@@ -256,7 +236,7 @@ def find_geometric_cycles(
         n = r * p
         for i in range(p):
             g = lambda t: compose_array(system, t, n, i) - t
-            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells, 1e-10)]
+            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells)]
             anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
             if anchor_res <= 1e-9:
                 # snap scan noise onto the shared fixed point
@@ -273,18 +253,11 @@ def find_geometric_cycles(
                         break
                 if lower:
                     continue
-                seq = [x0]
-                val = x0
-                escaped = False
-                for t in range(n):
-                    f = system.maps[(i + t) % p]
-                    try:
-                        val = f.eval(val)
-                    except ValueError:
-                        escaped = True
-                        break
-                    seq.append(val)
-                if escaped or abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
+                try:
+                    seq = _checked_walk(system, x0, n, i)
+                except ValueError:  # the orbit leaves a map's domain
+                    continue
+                if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
                     continue
                 orbit = seq[:n]
                 key = tuple(sorted(set(round(float(x), 7) for x in orbit)))

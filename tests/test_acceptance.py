@@ -13,10 +13,7 @@ import pytest
 
 from envcert import (
     certify_global_stability,
-    check_decreasing,
-    check_involution,
     compose_array,
-    diagnose_failure,
     envelops,
     find_fixed_points,
     fit_mobius,
@@ -80,7 +77,7 @@ def test_criterion_2():
     comparison = make_custom_envelope("x*exp(2*(1 - x))")
     struct = structural_check(comparison)
     assert not struct.passed
-    assert not struct.involution.passed
+    assert not struct.involution_passed
 
     steeper = make_model("ricker", {"r": 2.0})
     gap = lambda t: compose_array(system, t) - steeper.eval_array(t)
@@ -101,7 +98,7 @@ def test_criterion_2():
 
 
 def test_criterion_3():
-    """Composition with extra fixed points is refused, diagnosed, and unfittable."""
+    """Composition with extra fixed points is refused with a witness, and unfittable."""
     t0 = time.perf_counter()
     system = make_system([bh(1.1, 7.5), bh(7.0, 2.3)])
 
@@ -116,10 +113,13 @@ def test_criterion_3():
 
     cert = certify_global_stability(system)
     assert cert.status == "NotPopulationModel"
-
-    diag = diagnose_failure(system)
-    assert diag.applicable
-    assert any(a < 1.6 and b > 1.5 for a, b in diag.windows)
+    # the certificate's witness: the composition rises above the diagonal
+    # past 1, between the two extra fixed points
+    assert any(
+        v.axiom == "below_diagonal_past_1" and v.kind == "violation"
+        and positive[1] < v.x < positive[2]
+        for v in cert.composition_violations
+    )
 
     fit = fit_mobius(system, alpha_cells=1000)
     assert fit.alpha_step == pytest.approx(1e-3)
@@ -226,9 +226,9 @@ def test_criterion_6():
         assert cert.envelope_param == pytest.approx(8.0 / 11.0, abs=1e-12)
 
     for h in (make_mobius(0.5), make_mobius(0.75), make_mobius(8.0 / 11.0)):
-        inv = check_involution(h)
-        assert inv.passed and inv.max_residual <= 1e-9
-        assert check_decreasing(h).passed
+        rep = structural_check(h)
+        assert rep.involution_passed and rep.involution_residual <= 1e-9
+        assert rep.decreasing
 
 
 def test_criterion_7():

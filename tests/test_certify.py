@@ -1,7 +1,6 @@
 """Certification pipeline: local multiplier, Schwarzian screen, sign
 oracle, and the end-to-end verdicts."""
 
-import math
 from dataclasses import replace
 
 import pytest
@@ -10,7 +9,6 @@ from envcert import certify as certify_mod
 from envcert import (
     certify_global_stability,
     closed_form_conditions,
-    diagnose_failure,
     local_stability,
     make_custom_envelope,
     make_mobius,
@@ -20,7 +18,6 @@ from envcert import (
     schwarzian_test,
     two_cycle_oracle,
 )
-from envcert.numerics import GridConfig
 
 # flip pair of the doubled Ricker map at r = 2.3, 30-digit root polish
 FLIP_LO = 0.40784502975888715
@@ -84,14 +81,14 @@ def test_schwarzian_test_flags_steep_slope():
 
 
 def test_oracle_passes_contracting_map():
-    rep = two_cycle_oracle(ricker(1.8))
+    rep = two_cycle_oracle(make_system([ricker(1.8)]))
     assert rep.verdict == "passes"
     assert rep.two_cycles == ()
     assert rep.extra_fixed_points == ()
 
 
 def test_oracle_finds_flip_pair():
-    rep = two_cycle_oracle(ricker(2.3))
+    rep = two_cycle_oracle(make_system([ricker(2.3)]))
     assert rep.verdict == "fails"
     assert len(rep.two_cycles) == 1
     lo, hi = rep.two_cycles[0]
@@ -193,26 +190,6 @@ def test_certify_harvest_map():
     assert cert.multiplier == pytest.approx(1.0 / 3.0 - 0.3, abs=1e-12)
 
 
-def test_diagnose_certified_system_is_not_applicable():
-    rep = diagnose_failure(seasonal_triple())
-    assert not rep.applicable
-    assert rep.extra_fixed_points == ()
-    assert "nothing to diagnose" in rep.message
-
-
-def test_diagnose_alternating_bh_obstruction():
-    sys2 = make_system([bh(1.1, 7.5), bh(7.0, 2.3)])
-    rep = diagnose_failure(sys2)
-    assert rep.applicable
-    extras = sorted(rep.extra_fixed_points)
-    assert len(extras) == 2
-    assert extras[0] == pytest.approx(1.4365330719819296, abs=1e-8)
-    assert extras[1] == pytest.approx(1.6150111940487619, abs=1e-8)
-    assert rep.windows
-    assert any(a < 1.6 and b > 1.5 for a, b in rep.windows)
-    assert "extra positive fixed points" in rep.message
-
-
 def test_conditions_pure_families():
     rep = closed_form_conditions(make_system([ricker(1.8), ricker(0.5), ricker(1.2)]))
     assert all(r.description == "0 < r <= 2" for r in rep.rows)
@@ -259,7 +236,10 @@ def test_envelope_not_found_needs_a_definite_fit():
     # no Moebius envelope exists for this map: every probe of the fit
     # fails with a violation
     system = make_system([make_model("exponential-rational", {"a": 0.35, "b": 2.5})])
-    assert certify_global_stability(system).status == "EnvelopeNotFound"
+    cert = certify_global_stability(system)
+    assert cert.status == "EnvelopeNotFound"
+    assert ("every candidate fails with a concrete witness and the Moebius "
+            "fit is empty with a violation") in cert.notes
 
 
 def test_an_undecided_empty_fit_is_not_a_negative(monkeypatch):

@@ -8,8 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from envcert import (
-    check_decreasing,
-    check_involution,
     envelops,
     fit_mobius,
     make_custom_envelope,
@@ -23,7 +21,6 @@ from envcert import (
 from envcert import envelopes as envelopes_mod
 from envcert.cli import _bundled_names, _load_config
 from envcert.config import config_to_system
-from envcert.envelopes import _maps_of
 from envcert.numerics import GridConfig
 
 
@@ -54,17 +51,17 @@ def test_reciprocal_envelope():
     h = make_reciprocal()
     assert h.eval(2.0) == pytest.approx(0.5)
     assert h.eval(1.0) == pytest.approx(1.0)
-    rep = check_involution(h)
-    assert rep.passed
-    assert rep.max_residual <= 1e-12
+    rep = structural_check(h)
+    assert rep.involution_passed
+    assert rep.involution_residual <= 1e-12
 
 
 def test_affine_involution_is_near_exact():
     # the line through (1, 1) with slope -1 composes to x up to one
     # rounding step of the rational evaluation, not bit-exactly
-    rep = check_involution(make_mobius(0.5))
-    assert rep.passed
-    assert rep.max_residual <= 1e-12
+    rep = structural_check(make_mobius(0.5))
+    assert rep.involution_passed
+    assert rep.involution_residual <= 1e-12
 
 
 def test_piecewise_bh_envelope_matches_mobius_form():
@@ -96,13 +93,13 @@ def test_non_involution_candidate_rejected():
     g = make_custom_envelope("x*exp(2*(1 - x))")
     rep = structural_check(g)
     assert not rep.passed
-    assert not rep.involution.passed or not rep.decreasing.passed
+    assert not rep.involution_passed or not rep.decreasing
 
 
 def test_decreasing_check_catches_rise():
     g = make_custom_envelope("2 - x + 0.4*(x - 1)**2")
-    rep = check_decreasing(g)
-    assert not rep.passed or rep.min_drop <= 0
+    rep = structural_check(g)
+    assert not rep.decreasing
 
 
 def test_ricker_enveloped_by_affine():
@@ -145,7 +142,7 @@ def test_common_envelope_over_mixed_system():
 
 def test_fit_interval_contains_known_alpha():
     f = make_model("ricker", {"r": 1.8})
-    rep = fit_mobius(f, alpha_cells=200)
+    rep = fit_mobius(make_system([f]), alpha_cells=200)
     assert not rep.empty
     assert any(lo <= 0.5 <= hi for lo, hi in rep.feasible)
     assert rep.alpha_step == pytest.approx(1.0 / 200.0)
@@ -153,22 +150,21 @@ def test_fit_interval_contains_known_alpha():
 
 def test_fit_bh_contains_map_specific_alpha():
     f = make_model("beverton-holt", {"mu": 7.0, "c": 2.3})
-    rep = fit_mobius(f, alpha_cells=200)
+    rep = fit_mobius(make_system([f]), alpha_cells=200)
     target = (2.3 - 2.0) / (2.3 - 1.0)
     assert any(lo <= target <= hi for lo, hi in rep.feasible)
 
 
-def _scan_fit(target, cfg=None, alpha_cells=1000):
+def _scan_fit(system, cfg=None, alpha_cells=1000):
     """Reference: the linear scan that probes every grid alpha in full at
     one exclusion radius; (feasible, alpha_step, tested) of its fit."""
     if cfg is None:
         cfg = GridConfig()
-    maps = _maps_of(target)
     alphas = np.arange(alpha_cells) / alpha_cells
 
     def feasible_at(alpha):
         h = make_mobius(float(alpha))
-        return all(envelopes_mod.envelops(h, f, cfg).passed for f in maps)
+        return all(envelopes_mod.envelops(h, f, cfg).passed for f in system.maps)
 
     mask = np.array([feasible_at(a) for a in alphas], dtype=bool)
     runs = []
@@ -194,10 +190,10 @@ def _scan_fit(target, cfg=None, alpha_cells=1000):
     return tuple(runs), 1.0 / alpha_cells, alpha_cells
 
 
-def _matches_scan(rep, target, cfg=None, alpha_cells=1000):
+def _matches_scan(rep, system, cfg=None, alpha_cells=1000):
     """rep is the linear scan's fit at the exclusion radius rep used."""
     cfg = replace(cfg or GridConfig(), exclusion_radius=rep.delta_used)
-    scan = _scan_fit(target, cfg, alpha_cells)
+    scan = _scan_fit(system, cfg, alpha_cells)
     return (rep.feasible, rep.alpha_step, rep.tested) == scan and (rep.failure is None) == bool(scan[0])
 
 
@@ -281,7 +277,7 @@ def test_rescued_fit_probes_only_its_window(monkeypatch):
     f = make_model("exponential-rational", {"a": 0.32, "b": 2.48})
     calls = _count_envelops(monkeypatch)
     n = 1000
-    rep = fit_mobius(f, alpha_cells=n)
+    rep = fit_mobius(make_system([f]), alpha_cells=n)
     assert len(rep.feasible) == 1
     lo, hi = rep.feasible[0]
     assert lo > 0.5
@@ -301,9 +297,10 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     ])
     assert envelops(make_mobius(0.3), f).outside.status == "unresolved"
     assert envelops(make_mobius(0.275), f).outside.status == "violation"
-    expected = _scan_fit(f, alpha_cells=40)
+    system = make_system([f])
+    expected = _scan_fit(system, alpha_cells=40)
     calls = _count_envelops(monkeypatch)
-    rep = fit_mobius(f, alpha_cells=40)
+    rep = fit_mobius(system, alpha_cells=40)
     assert (rep.feasible, rep.alpha_step, rep.tested) == expected
     assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
@@ -327,16 +324,17 @@ def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
         return replace(v, passed=False, outside=out)
 
     monkeypatch.setattr(envelopes_mod, "envelops", unresolved_at_half)
-    rep = fit_mobius(f, alpha_cells=40)
+    system = make_system([f])
+    rep = fit_mobius(system, alpha_cells=40)
     assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
-    assert _matches_scan(rep, f, alpha_cells=40)
+    assert _matches_scan(rep, system, alpha_cells=40)
 
 
 def test_fit_rejects_empty_grid():
     f = make_model("ricker", {"r": 1.8})
     for cells in (0, -5):
         with pytest.raises(ValueError, match="alpha_cells must be at least 1"):
-            fit_mobius(f, alpha_cells=cells)
+            fit_mobius(make_system([f]), alpha_cells=cells)
 
 
 def test_envelope_labels():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from envcert import numerics
 from envcert.numerics import (
     GridConfig,
     _merge_cells,
@@ -122,6 +123,21 @@ def test_sign_check_nan_never_passes():
 
     rep = adaptive_sign_check(g, (0.0, 1.0), "positive")
     assert rep.status == "unresolved"
+
+
+@pytest.mark.parametrize("g, claim", [
+    (lambda x: np.sin(40.0 * x) + 0.5, "positive"),  # dips below 0 in every block
+    (lambda x: 0.9 - x, "positive"),  # fails only in the last block
+    (lambda x: (x - 0.9) ** 2 + 1e-3 * x, "positive"),  # min_abs in the last block
+    (lambda x: (x - 0.4096) ** 2, "positive"),  # a tangency at a block boundary
+    (lambda x: -1.0 - x, "negative"),
+], ids=["dips", "late-violation", "late-minimum", "tangency", "negative"])
+def test_sign_check_blocks_match_one_block(monkeypatch, g, claim):
+    # 5000 seed cells span three blocks of samples
+    cfg = GridConfig(seed_cells=5000)
+    blocked = adaptive_sign_check(g, (0.0, 1.0), claim, cfg)
+    monkeypatch.setattr(numerics, "_BLOCK_CELLS", 10**9)
+    assert adaptive_sign_check(g, (0.0, 1.0), claim, cfg) == blocked
 
 
 def test_bracketed_root_sqrt2():

@@ -1,7 +1,6 @@
 """Composition, working intervals, orbits and cycle enumeration."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from envcert import (
     Interval,
     PeriodicSystem,
     compose_array,
-    compose_eval,
     composition_derivative,
     find_fixed_points,
     find_geometric_cycles,
@@ -18,7 +16,7 @@ from envcert import (
     make_model,
     make_system,
 )
-from envcert.numerics import GridConfig, fd_derivative
+from envcert.numerics import fd_derivative
 
 
 def ricker_system(*rs, x_max=None):
@@ -36,21 +34,23 @@ def test_minimal_period_enforced():
 
 def test_shared_fixed_point_composes_to_itself():
     sys2 = ricker_system(1.5, 1.2)
-    assert compose_eval(sys2, 1.0, 2, 0) == pytest.approx(1.0, abs=1e-12)
-    assert compose_eval(sys2, 1.0, 2, 1) == pytest.approx(1.0, abs=1e-12)
+    one = np.asarray([1.0])
+    assert compose_array(sys2, one, 2, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert compose_array(sys2, one, 2, 1)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empty_composition_is_identity():
     sys2 = ricker_system(1.5, 1.2)
-    assert compose_eval(sys2, 0.37, 0) == 0.37
+    assert compose_array(sys2, np.asarray([0.37]), 0)[0] == 0.37
 
 
 def test_compose_matches_manual_chain():
     sys2 = ricker_system(1.5, 1.2)
     f0, f1 = sys2.maps
     x = 0.42
-    assert compose_eval(sys2, x, 2, 0) == pytest.approx(f1.eval(f0.eval(x)), rel=1e-14)
-    assert compose_eval(sys2, x, 2, 1) == pytest.approx(f0.eval(f1.eval(x)), rel=1e-14)
+    pt = np.asarray([x])
+    assert compose_array(sys2, pt, 2, 0)[0] == pytest.approx(f1.eval(f0.eval(x)), rel=1e-14)
+    assert compose_array(sys2, pt, 2, 1)[0] == pytest.approx(f0.eval(f1.eval(x)), rel=1e-14)
     xs = np.linspace(0.05, 2.5, 17)
     np.testing.assert_allclose(
         compose_array(sys2, xs, 2, 0), f1.eval_array(f0.eval_array(xs)), rtol=1e-14
@@ -116,6 +116,15 @@ def test_orbit_escape_reports_step():
     broken = PeriodicSystem(maps=(f,), period=1, working_interval=Interval(0.0, 2.0))
     with pytest.raises(ValueError, match="escape"):
         iterate_orbit(broken, 0.3, 4)
+
+
+def test_cycles_skip_an_orbit_that_escapes():
+    # the 2-cycle (0.1414, 1.8586) leaves the domain [0, 1.8] at its
+    # second point, so only the fixed point at 1 is reported
+    f = make_model("custom", pieces=[(0.0, "x*exp(3*(1 - x))")], x_max=1.8)
+    broken = PeriodicSystem(maps=(f,), period=1, working_interval=Interval(0.0, 1.8))
+    cycles = find_geometric_cycles(broken, 2)
+    assert [c.points for c in cycles] == [pytest.approx((1.0,), abs=1e-9)]
 
 
 def test_fixed_points_ricker_triple():
