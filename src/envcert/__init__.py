@@ -5,6 +5,10 @@ certify_global_stability; or drive everything from a YAML config via
 the envcert command-line tool.
 """
 
+# Set before the submodule imports: report reads it while this package
+# is still initialising.
+__version__ = "0.1.0"
+
 from .certify import (
     CandidateRecord,
     ConditionsReport,
@@ -12,6 +16,7 @@ from .certify import (
     OracleReport,
     SchwarzianReport,
     StabilityCertificate,
+    axiom_gate,
     certify_global_stability,
     closed_form_conditions,
     default_candidates,
@@ -61,5 +66,3 @@ from .periodic import (
     iterate_orbit,
     make_system,
 )
-
-__version__ = "0.1.0"

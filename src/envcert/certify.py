@@ -39,6 +39,7 @@ from .periodic import (
     composition_derivative,
     find_fixed_points,
 )
+from .report import plain
 
 __all__ = [
     "SchwarzianReport",
@@ -52,6 +53,7 @@ __all__ = [
     "StabilityCertificate",
     "default_candidates",
     "try_candidate",
+    "axiom_gate",
     "certify_global_stability",
     "ConditionRow",
     "ConditionsReport",
@@ -214,9 +216,7 @@ def two_cycle_oracle(system: PeriodicSystem, cfg: GridConfig | None = None) -> O
         lo_pt, hi_pt = sorted((x, y))
         if not any(abs(lo_pt - a) <= 1e-7 for a, _ in pairs):
             pairs.append((lo_pt, hi_pt))
-    extra = tuple(
-        f for f in fps if f > 1e-8 and abs(f - 1.0) > 1e-7
-    )
+    extra = tuple(f for f in fps if f > 1e-8 and abs(f - 1.0) > delta)
 
     has_violation = (
         left.status == "violation"
@@ -341,25 +341,41 @@ def try_candidate(
                    delta_used=delta, failure=failure)
 
 
-def _composition_axioms(
+def axiom_gate(
     system: PeriodicSystem, cfg: GridConfig
-) -> tuple[list[AxiomViolation], float]:
-    """Axiom check of Phi_p on the working interval, on the tangency ladder."""
+) -> tuple[tuple[AxiomReport, ...], AxiomReport, str | None]:
+    """Axiom reports of every map and of Phi_p, each on the tangency ladder,
+    and the gate's failure: None, "violation" or "unresolved".
+
+    A higher rung re-runs only the sign checks.  The others do not depend
+    on the radius, and any failure of theirs is definite, which stops the
+    ladder at the first rung.
+    """
+
+    def laddered(first: AxiomReport, fn, hi: float) -> AxiomReport:
+        def check(cfg_d: GridConfig):
+            rep = first
+            if cfg_d.exclusion_radius != first.delta_used:
+                rep = replace(check_axioms_callable(fn, hi, cfg_d, first.label),
+                              tail_ok=first.tail_ok, is_c1=first.is_c1,
+                              monotone_rise_bound=first.monotone_rise_bound)
+            return rep, rep.passed, rep.definite_violation, rep.unresolved
+
+        return tangency_ladder(check, cfg)[0]
+
+    maps = tuple(
+        laddered(verify_population_axioms(f, cfg), f.eval_array, f.domain.hi)
+        for f in system.maps
+    )
+    phi = lambda t: compose_array(system, t)
     hi = system.working_interval.hi
-    fn = lambda t: compose_array(system, t)
-
-    def check(cfg_d: GridConfig):
-        viol, reports = check_axioms_callable(fn, hi, cfg_d, "composition")
-        legs = (reports["diagonal_above"], reports["diagonal_below"], reports["positivity"])
-        return (
-            viol,
-            not viol,
-            any(v.kind == "violation" for v in viol),
-            tuple(iv for r in legs if r is not None for iv in r.unresolved),
-        )
-
-    viol, _, delta = tangency_ladder(check, cfg)
-    return viol, delta
+    comp = laddered(check_axioms_callable(phi, hi, cfg, "composition"), phi, hi)
+    gate = maps + (comp,)
+    failure = (
+        "violation" if any(r.definite_violation for r in gate)
+        else None if all(r.passed for r in gate) else "unresolved"
+    )
+    return maps, comp, failure
 
 
 def certify_global_stability(
@@ -371,22 +387,12 @@ def certify_global_stability(
     if cfg is None:
         cfg = GridConfig()
     notes: list[str] = []
-    witnesses: list[str] = []
     W = system.working_interval
 
-    map_reports = tuple(verify_population_axioms(f, cfg) for f in system.maps)
-    for r in map_reports:
-        for v in r.violations:
-            if v.kind == "violation":
-                witnesses.append(f"{r.label}: {v.detail}")
-    non_c1 = [f.label for f in system.maps if not f.is_c1]
-    for lbl in non_c1:
-        witnesses.append(f"{lbl}: not C^1 (breakpoints inside the domain)")
-
-    comp_viol, comp_delta = _composition_axioms(system, cfg)
-    comp_definite = [v for v in comp_viol if v.kind == "violation"]
-    for v in comp_definite:
-        witnesses.append(f"composition: {v.detail}")
+    map_reports, comp, axioms_failure = axiom_gate(system, cfg)
+    gate = map_reports + (comp,)
+    witnesses = [f"{r.label}: {v.detail}" for r in gate
+                 for v in r.violations if v.kind == "violation"]
 
     multiplier = None
     multiplier_verdict = None
@@ -397,22 +403,8 @@ def certify_global_stability(
     except ValueError as exc:
         notes.append(f"multiplier undefined: {exc}")
 
-    axioms_definite = (
-        any(r.definite_violation for r in map_reports)
-        or bool(non_c1)
-        or bool(comp_definite)
-    )
-    axioms_undecided = any(
-        (not r.passed and not r.definite_violation) for r in map_reports
-    ) or (bool(comp_viol) and not comp_definite)
-
-    tolerances = {
-        "abs_tol": cfg.abs_tol,
-        "seed_cells": cfg.seed_cells,
-        "max_refinement_depth": cfg.max_refinement_depth,
-        "exclusion_radius": cfg.exclusion_radius,
-        "exclusion_radius_effective": comp_delta,
-    }
+    axioms_delta = max(r.delta_used for r in gate)
+    tolerances = {**plain(cfg), "exclusion_radius_effective": axioms_delta}
 
     def build(status, envelope=None, cand_records=(), fit=None, oracle=None, agrees=None):
         return StabilityCertificate(
@@ -426,8 +418,8 @@ def certify_global_stability(
             envelope_kind=envelope.kind if envelope else None,
             envelope_param=envelope.param if envelope else None,
             map_axioms=map_reports,
-            composition_passed=not comp_viol,
-            composition_violations=tuple(comp_viol),
+            composition_passed=comp.passed,
+            composition_violations=comp.violations,
             candidates=tuple(cand_records),
             fit_intervals=fit,
             oracle=oracle,
@@ -437,7 +429,7 @@ def certify_global_stability(
             notes=tuple(notes),
         )
 
-    if axioms_definite:
+    if axioms_failure == "violation":
         notes.append("envelope search skipped: the maps or their composition "
                       "fail the population-model axioms outright")
         return build("NotPopulationModel")
@@ -470,16 +462,14 @@ def certify_global_stability(
 
     if chosen is not None and chosen_rec is not None:
         tolerances["exclusion_radius_effective"] = max(
-            comp_delta, chosen_rec.delta_used
+            axioms_delta, chosen_rec.delta_used
         )
-        if axioms_undecided:
+        if axioms_failure:
             notes.append("axiom checks left undecided cells; envelope found "
                           "but certification withheld")
-            status = "LocalOnly" if (
-                multiplier is not None and abs(multiplier) < 1.0 - 1e-12
-            ) else "Inconclusive"
+            status = "LocalOnly" if multiplier_verdict == "stable" else "Inconclusive"
             return build(status, cand_records=records, fit=fit_intervals)
-        if multiplier is None or abs(multiplier) > 1.0 + 1e-12:
+        if multiplier_verdict not in ("stable", "neutral"):
             notes.append("envelope verified but the multiplier gate failed; "
                           "results disagree, reporting Inconclusive")
             return build("Inconclusive", cand_records=records, fit=fit_intervals)
@@ -507,11 +497,11 @@ def certify_global_stability(
     all_definite = bool(records) and all(
         rec.failure in ("structural", "violation") for rec in records
     )
-    if all_definite and fit.failure == "violation" and not axioms_undecided:
+    if all_definite and fit.failure == "violation" and not axioms_failure:
         notes.append("every candidate fails with a concrete witness and the "
                       "Moebius fit is empty with a violation")
         return build("EnvelopeNotFound", cand_records=records, fit=fit_intervals)
-    if multiplier is not None and abs(multiplier) < 1.0 - 1e-12:
+    if multiplier_verdict == "stable":
         notes.append("local contraction holds at the fixed point but no "
                       "envelope could be verified")
         return build("LocalOnly", cand_records=records, fit=fit_intervals)
@@ -589,7 +579,7 @@ def closed_form_conditions(system: PeriodicSystem) -> ConditionsReport:
     try:
         loc = local_stability(system)
         multiplier = loc.multiplier
-        product_ok = abs(multiplier) <= 1.0 + 1e-12
+        product_ok = loc.verdict != "unstable"
     except ValueError:
         pass
 

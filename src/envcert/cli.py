@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .certify import (
+    axiom_gate,
     certify_global_stability,
     closed_form_conditions,
     default_candidates,
@@ -28,7 +29,6 @@ from .certify import (
 )
 from .config import SystemConfig, config_from_dict, config_to_system, parse_system_config
 from .envelopes import fit_mobius
-from .models import check_axioms_callable, verify_population_axioms
 from .numerics import GridConfig
 from .periodic import (
     compose_array,
@@ -158,12 +158,7 @@ def _emit(command: str, cfg: SystemConfig, grid: GridConfig, result: dict, args)
     doc = ReportDocument(
         command=command,
         config=cfg.raw,
-        tolerances={
-            "abs_tol": grid.abs_tol,
-            "seed_cells": grid.seed_cells,
-            "max_refinement_depth": grid.max_refinement_depth,
-            "exclusion_radius": grid.exclusion_radius,
-        },
+        tolerances=plain(grid),
         result=result,
     )
     _write(emit_report(doc, args.format), args)
@@ -207,26 +202,18 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         return _STATUS_EXIT[cert.status]
 
     if cmd == "axioms":
-        maps = [verify_population_axioms(f, grid) for f in system.maps]
-        comp_viol, comp_info = check_axioms_callable(
-            lambda t: compose_array(system, t),
-            system.working_interval.hi,
-            grid,
-            "composition",
-        )
+        maps, comp, failure = axiom_gate(system, grid)
         result = {
             "maps": plain(maps),
             "composition": {
-                "violations": plain(comp_viol),
-                "fixed_point_residuals": plain(comp_info["fixed_point_residuals"]),
+                "violations": plain(comp.violations),
+                "fixed_point_residuals": plain(comp.fixed_point_residuals),
+                "delta_used": comp.delta_used,
             },
             "working_interval": [system.working_interval.lo, system.working_interval.hi],
         }
         _emit(cmd, cfg, grid, result, args)
-        all_viol = [v for r in maps for v in r.violations] + comp_viol
-        if any(v.kind == "violation" for v in all_viol):
-            return 1
-        return 2 if all_viol else 0
+        return {None: 0, "violation": 1, "unresolved": 2}[failure]
 
     if cmd == "envelope-check":
         envs = cfg.envelopes or default_candidates(system)

@@ -283,24 +283,31 @@ def _build_piecewise_linear_recip(p: dict):
     if not 0 < brk < 1:
         raise ValueError(f"brk must lie in (0, 1) (got {brk:g})")
     m = (1.0 - s * brk) / (1.0 - brk)
+    starts = (0.0, float(brk), 1.0)
+    ev = _piecewise(starts, (lambda t: s * t, lambda t: 1.0 + m * (t - 1.0), lambda t: 1.0 / t))
+    d1 = _piecewise(starts, (lambda t: np.full_like(t, s), lambda t: np.full_like(t, m), lambda t: -1.0 / t ** 2))
+    d2 = _piecewise(starts, (np.zeros_like, np.zeros_like, lambda t: 2.0 / t ** 3))
+    d3 = _piecewise(starts, (np.zeros_like, np.zeros_like, lambda t: -6.0 / t ** 4))
+    return ev, (d1, d2, d3), starts[1:], False, None
 
-    def piecewise(funcs):
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty_like(x)
-            masks = (x < brk, (x >= brk) & (x < 1.0), x >= 1.0)
-            for mask, f in zip(masks, funcs):
-                if mask.any():
-                    out[mask] = f(x[mask])
-            return out
 
-        return fn
+def _piecewise(starts: Sequence[float], funcs: Sequence[Callable]) -> Callable:
+    """Apply funcs[k] on [starts[k], starts[k+1]); starts[0] is 0 and the
+    first piece also takes x < 0.  Anything else (NaN, +inf) maps to NaN."""
+    bounds = list(starts[1:]) + [np.inf]
 
-    ev = piecewise((lambda t: s * t, lambda t: 1.0 + m * (t - 1.0), lambda t: 1.0 / t))
-    d1 = piecewise((lambda t: np.full_like(t, s), lambda t: np.full_like(t, m), lambda t: -1.0 / t ** 2))
-    d2 = piecewise((lambda t: np.zeros_like(t), lambda t: np.zeros_like(t), lambda t: 2.0 / t ** 3))
-    d3 = piecewise((lambda t: np.zeros_like(t), lambda t: np.zeros_like(t), lambda t: -6.0 / t ** 4))
-    return ev, (d1, d2, d3), (float(brk), 1.0), False, None
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = np.full_like(x, np.nan)
+        for start, hi, f in zip(starts, bounds, funcs):
+            mask = (x >= start) & (x < hi)
+            if start == 0.0:
+                mask |= x < 0.0
+            if mask.any():
+                out[mask] = f(x[mask])
+        return out
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +547,8 @@ def _build_custom(pieces: Sequence) -> tuple:
         raise ValueError("piece starts must be strictly increasing")
 
     compiled = [compile_expression(expr) for _, expr in parsed]
-    bounds = starts[1:] + [np.inf]
-
-    def piecewise(idx):
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            out = np.full_like(x, np.nan)
-            for (start, _), hi, fns in zip(parsed, bounds, compiled):
-                mask = (x >= start) & (x < hi)
-                if start == 0.0:
-                    mask |= x < 0.0
-                if mask.any():
-                    out[mask] = fns[0](x[mask]) if idx == 0 else fns[1][idx - 1](x[mask])
-            return out
-
-        return fn
-
-    ev = piecewise(0)
-    ds = (piecewise(1), piecewise(2), piecewise(3))
+    ev = _piecewise(starts, [value for value, _ in compiled])
+    ds = tuple(_piecewise(starts, [derivs[k] for _, derivs in compiled]) for k in range(3))
     breakpoints = tuple(starts[1:])
     smooth = len(parsed) == 1
     r0 = abs(float(ev(np.asarray([0.0]))[0]))
@@ -642,6 +633,9 @@ class AxiomViolation:
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """The axiom checks of one map or period map at exclusion radius
+    delta_used; the last three fields are set for models only."""
+
     label: str
     passed: bool
     definite_violation: bool
@@ -651,9 +645,16 @@ class AxiomReport:
     diagonal_below: SignReport | None
     positivity: SignReport | None
     sup_on_unit: float
-    tail_ok: bool | None
-    monotone_rise_bound: float | None
-    is_c1: bool
+    delta_used: float
+    tail_ok: bool | None = None
+    monotone_rise_bound: float | None = None
+    is_c1: bool | None = None
+
+    @property
+    def unresolved(self) -> tuple[tuple[float, float], ...]:
+        """The intervals the sign checks left undecided."""
+        legs = (self.diagonal_above, self.diagonal_below, self.positivity)
+        return tuple(iv for r in legs if r is not None for iv in r.unresolved)
 
 
 def _collect(report: SignReport | None, axiom: str, out: list[AxiomViolation]) -> None:
@@ -682,16 +683,25 @@ def _collect(report: SignReport | None, axiom: str, out: list[AxiomViolation]) -
             )
 
 
+def _outcome(violations: Sequence[AxiomViolation]) -> dict:
+    """The AxiomReport fields that follow from its violation list."""
+    return dict(
+        passed=not violations,
+        definite_violation=any(v.kind == "violation" for v in violations),
+        violations=tuple(violations),
+    )
+
+
 def check_axioms_callable(
     fn: Callable[[np.ndarray], np.ndarray],
     hi: float,
     cfg: GridConfig,
     label: str = "map",
-) -> tuple[list[AxiomViolation], dict]:
+) -> AxiomReport:
     """Population-model sign structure for a raw callable on [0, hi].
 
-    Used both for single maps and for period compositions.  Returns the
-    violation list plus the individual reports.
+    Used both for single maps and for period compositions, at the
+    exclusion radius of cfg.
     """
     delta = cfg.exclusion_radius
     violations: list[AxiomViolation] = []
@@ -736,24 +746,28 @@ def check_axioms_callable(
                            f"{label} not finite at x={bad:.6g}")
         )
 
-    reports = {
-        "fixed_point_residuals": (r0, r1),
-        "diagonal_above": above,
-        "diagonal_below": below,
-        "positivity": positivity,
-        "sup_on_unit": sup_unit,
-    }
-    return violations, reports
+    return AxiomReport(
+        label=label,
+        **_outcome(violations),
+        fixed_point_residuals=(r0, r1),
+        diagonal_above=above,
+        diagonal_below=below,
+        positivity=positivity,
+        sup_on_unit=sup_unit,
+        delta_used=delta,
+    )
 
 
 def verify_population_axioms(
     model: PopulationModel, cfg: GridConfig | None = None
 ) -> AxiomReport:
-    """Check every population-model axiom for one map on its domain."""
+    """Every population-model axiom for one map on its domain: the sign
+    checks of check_axioms_callable, the large-x tail, and C^1."""
     if cfg is None:
         cfg = GridConfig()
     hi = model.domain.hi
-    violations, reports = check_axioms_callable(model._eval, hi, cfg, model.label)
+    rep = check_axioms_callable(model._eval, hi, cfg, model.label)
+    violations = list(rep.violations)
 
     tail_ok: bool | None = None
     if model.family in _UNBOUNDED:
@@ -769,23 +783,17 @@ def verify_population_axioms(
                         f"{model.label}({pt:g}) = {v:g} not in [0, {pt:g})",
                     )
                 )
+    if not model.is_c1:
+        violations.append(
+            AxiomViolation("c1", "violation", model.breakpoints[0], None,
+                           "not C^1 (breakpoints inside the domain)")
+        )
 
-    rise = None
     crit = scan_roots(lambda t: model.deriv_array(t, 1), (1e-9, hi), cfg.seed_cells)
-    rise = float(crit[0]) if crit.size else hi
-
-    definite = any(v.kind == "violation" for v in violations)
-    return AxiomReport(
-        label=model.label,
-        passed=not violations,
-        definite_violation=definite,
-        violations=tuple(violations),
-        fixed_point_residuals=reports["fixed_point_residuals"],
-        diagonal_above=reports["diagonal_above"],
-        diagonal_below=reports["diagonal_below"],
-        positivity=reports["positivity"],
-        sup_on_unit=reports["sup_on_unit"],
+    return replace(
+        rep,
+        **_outcome(violations),
         tail_ok=tail_ok,
-        monotone_rise_bound=rise,
+        monotone_rise_bound=float(crit[0]) if crit.size else hi,
         is_c1=model.is_c1,
     )

@@ -169,17 +169,18 @@ def find_fixed_points(
 
     Sign-change scan plus the two structural points 0 and 1, which are
     verified by residual and injected even when tangential; scan roots
-    within 1e-7 of a verified anchor are snapped onto it.
+    within 1e-7 of 0, or within the exclusion radius of 1, are snapped
+    onto it (the sign checks cannot resolve structure that close to 1).
     """
     if cfg is None:
         cfg = GridConfig()
     hi = system.working_interval.hi
     g = lambda t: compose_array(system, t) - t
     roots = [float(r) for r in scan_roots(g, (0.0, hi), cfg.seed_cells)]
-    for anchor in (0.0, 1.0):
+    for anchor, radius in ((0.0, 1e-7), (1.0, cfg.exclusion_radius)):
         res = abs(float(compose_array(system, np.asarray([anchor]))[0]) - anchor)
         if res <= 1e-9:
-            roots = [r for r in roots if abs(r - anchor) > 1e-7]
+            roots = [r for r in roots if abs(r - anchor) > radius]
             roots.append(anchor)
     roots.sort()
     return np.asarray(roots)
@@ -239,8 +240,8 @@ def find_geometric_cycles(
             roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells)]
             anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
             if anchor_res <= 1e-9:
-                # snap scan noise onto the shared fixed point
-                roots = [x for x in roots if abs(x - 1.0) > 1e-7]
+                # snap roots the sign checks cannot tell from 1 onto it
+                roots = [x for x in roots if abs(x - 1.0) > cfg.exclusion_radius]
                 roots.append(1.0)
             for x0 in sorted(roots):
                 if x0 <= 1e-8:

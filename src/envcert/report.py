@@ -15,7 +15,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-_VERSION = "0.1.0"
+from . import __version__
 
 __all__ = ["ReportDocument", "plain", "emit_report", "emit_plot_data", "render_svg"]
 
@@ -54,7 +54,7 @@ class ReportDocument:
 def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
     if fmt == "json":
         body = {
-            "tool": {"name": "envcert", "version": _VERSION},
+            "tool": {"name": "envcert", "version": __version__},
             "command": doc.command,
             "config": plain(doc.config),
             "tolerances": plain(doc.tolerances),
@@ -62,7 +62,7 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
         }
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
-        rows: list[tuple[str, str]] = [("tool", "envcert"), ("version", _VERSION),
+        rows: list[tuple[str, str]] = [("tool", "envcert"), ("version", __version__),
                                        ("command", doc.command)]
         _flatten("config", plain(doc.config), rows)
         _flatten("tolerances", plain(doc.tolerances), rows)

@@ -138,12 +138,12 @@ def test_criterion_4():
     assert all(not f.is_c1 for f in maps)
 
     system = make_system(maps)
-    violations, _ = check_axioms_callable(
+    violations = check_axioms_callable(
         lambda t: compose_array(system, t),
         system.working_interval.hi,
         GridConfig(),
         "composition",
-    )
+    ).violations
     above = [
         v
         for v in violations

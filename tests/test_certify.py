@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 
 from envcert import certify as certify_mod
+from envcert.numerics import GridConfig
 from envcert import (
+    axiom_gate,
     certify_global_stability,
     closed_form_conditions,
     local_stability,
@@ -152,6 +154,35 @@ def test_certify_non_smooth_map_rejected_upfront():
     assert cert.candidates == ()
     assert any("not C^1" in w for w in cert.witnesses)
     assert any("axioms outright" in n for n in cert.notes)
+
+
+def test_nan_multiplier_does_not_certify():
+    # 0 * Abs(x - 1)**0.5 has the derivative 0 * inf = nan at 1
+    f = make_model("custom", pieces=[(0.0, "x*exp(1.5*(1 - x)) + 0*Abs(x - 1)**0.5")])
+    system = make_system([f])
+    assert local_stability(system).verdict == "unstable"
+    cert = certify_global_stability(system)
+    assert cert.status == "Inconclusive"
+    assert any("multiplier gate failed" in n for n in cert.notes)
+    assert closed_form_conditions(system).product_ok is False
+
+
+@pytest.mark.parametrize("model", [
+    make_model("custom", pieces=[(0.0, "x*exp((1 - x)**3)")], x_max=3.0),
+    make_model("ricker", {"r": 2.0}),
+    make_model("piecewise-linear-recip", {"slope": 3.0, "brk": 0.5}),
+], ids=["cubic", "ricker2", "piecewise"])
+def test_period_one_map_and_period_map_agree(model):
+    system = make_system([model])
+    assert system.working_interval.hi == model.domain.hi
+    (m,), phi, failure = axiom_gate(system, GridConfig())
+    sign = lambda r: (r.diagonal_above, r.diagonal_below, r.positivity, r.delta_used)
+    assert sign(m) == sign(phi)
+    model_only = [v for v in m.violations if v.axiom in ("c1", "below_diagonal_tail")]
+    assert [v.axiom for v in m.violations if v not in model_only] == [
+        v.axiom for v in phi.violations]
+    assert m.passed == (phi.passed and not model_only)
+    assert failure == ("violation" if model_only else None)
 
 
 def test_certify_explicit_candidate_list():

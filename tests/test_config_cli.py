@@ -377,16 +377,65 @@ def _alpha(kind, param):
     return param if kind == "mobius" else None
 
 
-@pytest.mark.parametrize("name", BUNDLED + ["quadratic_tangency"])
+# Period-1 and period-2 systems where the axiom gate once had copies
+# that disagreed, keyed by a name for the test id.
+GATE_SYSTEMS = {
+    "quadratic_tangency": QUADRATIC_TANGENCY,
+    # not C^1: certify stopped at the gate while axioms exited 0
+    "lone_piecewise": """\
+models:
+  - family: piecewise-linear-recip
+    params: {slope: 3.0, brk: 0.5}
+""",
+    # Phi'(1) = 1 and Phi(x) - x ~ -2 (x - 1)^3: the composition needs a
+    # wider radius, and the scan brackets roundoff within 4e-6 of 1
+    "ricker_bh_tangency": """\
+models:
+  - family: ricker
+    params: {r: 2.0}
+  - family: beverton-holt
+    params: {mu: 3.0, c: 3.0}
+""",
+    # f(x) - x ~ x (1 - x)^3: the map itself needs a wider radius
+    "cubic_tangency": """\
+models:
+  - family: custom
+    x_max: 3.0
+    pieces:
+      - {from: 0.0, expr: "x*exp((1 - x)**3)"}
+""",
+}
+
+
+def _config(name, tmp_path):
+    if name not in GATE_SYSTEMS:
+        return name
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(GATE_SYSTEMS[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name", BUNDLED + list(GATE_SYSTEMS))
 def test_subcommands_agree(name, tmp_path, capsys):
-    # certify, envelope-check and mobius-fit decide the same envelopes on
-    # the same tangency ladder
-    if name == "quadratic_tangency":
-        name = str(tmp_path / "quadratic_tangency.yaml")
-        Path(name).write_text(QUADRATIC_TANGENCY)
+    # certify, axioms, envelope-check and mobius-fit decide the same axioms
+    # and envelopes on the same tangency ladder
+    name = _config(name, tmp_path)
     code, cert = _report(capsys, "certify", name)
+    axioms_code, axioms = _report(capsys, "axioms", name)
+    # axioms exits 1, 0 or 2 as certify's gate is definite, clear or undecided
+    clear = all(r["passed"] for r in cert["map_axioms"]) and cert["composition_passed"]
+    stopped = cert["status"] == "NotPopulationModel"
+    assert axioms_code == (1 if stopped else 0 if clear else 2)
+    if len(axioms["maps"]) == 1:
+        # one function checked twice, as the map and as the period map
+        (m,), phi = axioms["maps"], axioms["composition"]
+        signs = lambda vs: [(v["axiom"], v["kind"]) for v in vs
+                            if v["axiom"] not in ("c1", "below_diagonal_tail")]
+        assert (m["delta_used"], signs(m["violations"])) == (
+            phi["delta_used"], signs(phi["violations"]))
     if cert["status"] != "CertifiedGlobal":
         return
+    assert axioms_code == 0
     chosen = cert["candidates"][-1]
     assert chosen["passed"] and chosen["envelope_label"] == cert["envelope"]
     code, check = _report(capsys, "envelope-check", name)
@@ -397,6 +446,32 @@ def test_subcommands_agree(name, tmp_path, capsys):
         code, fit = _report(capsys, "mobius-fit", name)
         assert code == 0
         assert any(lo <= alpha <= hi for lo, hi in fit["feasible"]), (alpha, fit)
+
+
+@pytest.mark.parametrize("name, status, axioms_code", [
+    ("lone_piecewise", "NotPopulationModel", 1),
+    ("ricker_bh_tangency", "CertifiedGlobal", 0),
+    ("cubic_tangency", "CertifiedGlobal", 0),
+])
+def test_axiom_gate_decides_once(name, status, axioms_code, tmp_path, capsys):
+    name = _config(name, tmp_path)
+    code, cert = _report(capsys, "certify", name)
+    assert (code, cert["status"]) == (_STATUS_EXIT[status], status)
+    code, _ = _report(capsys, "axioms", name)
+    assert code == axioms_code
+
+
+def test_cycles_report_roots_near_1_as_1(tmp_path, capsys):
+    name = _config("ricker_bh_tangency", tmp_path)
+    code, cycles = _report(capsys, "cycles", name)
+    assert code == 0
+    assert cycles["fixed_points"] == [0.0, 1.0]
+    assert [c["points"] for c in cycles["cycles"]] == [[1.0]]
+    # extra fixed points well outside the exclusion radius stay
+    code, cycles = _report(capsys, "cycles", "bh_counterexample")
+    assert cycles["fixed_points"][1:] == pytest.approx(
+        [1.0, 1.4365330719819296, 1.6150111940487619], abs=1e-9
+    )
 
 
 def test_mobius_fit_exits_2_on_an_unresolved_empty_fit(monkeypatch, capsys):

@@ -157,6 +157,18 @@ def test_piecewise_segments_and_smoothness():
     assert f.deriv(1.7, 1) == pytest.approx(-1.0 / 1.7 ** 2)
 
 
+@pytest.mark.parametrize("model", [
+    make_model("piecewise-linear-recip", {"slope": 4.0, "brk": 0.6}),
+    make_model("custom", pieces=[(0.0, "2*x"), (0.5, "x + 0.5"), (1.0, "1/x")]),
+], ids=["piecewise-linear-recip", "custom"])
+def test_piecewise_maps_nan_in_nan_out(model):
+    x = np.asarray([np.nan, 0.3, np.nan, 2.0])
+    for fn in (model.eval_array, *(lambda t, k=k: model.deriv_array(t, k) for k in (1, 2, 3))):
+        out = fn(x)
+        assert np.isnan(out[[0, 2]]).all()
+        assert np.isfinite(out[[1, 3]]).all()
+
+
 def test_custom_expression_matches_builtin():
     f = make_model("custom", pieces=[(0.0, "x*exp(2*(1 - x))")])
     g = make_model("ricker", {"r": 2.0})

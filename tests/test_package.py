@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -47,3 +48,15 @@ def test_no_unused_imports():
     files = sorted((root / "src" / "envcert").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     unused = [u for path in files for u in _unused_imports(path)]
     assert unused == []
+
+
+def test_one_name_one_version():
+    # the distribution reads its version from the package, and reports
+    # carry the same value
+    text = (Path(envcert.__file__).parents[2] / "pyproject.toml").read_text()
+    assert 'name = "envcert"' in text
+    assert 'version = {attr = "envcert.__version__"}' in text
+    from envcert.report import ReportDocument, emit_report
+
+    doc = ReportDocument(command="axioms", config={}, tolerances={}, result={})
+    assert json.loads(emit_report(doc))["tool"]["version"] == envcert.__version__
