@@ -477,7 +477,7 @@ def certify_global_stability(
             notes.append("multiplier has modulus 1; enveloping still pins "
                           "every positive orbit to the fixed point")
         oracle = two_cycle_oracle(
-            system, replace(cfg, exclusion_radius=chosen_rec.delta_used)
+            system, replace(cfg, exclusion_radius=tolerances["exclusion_radius_effective"])
         )
         agrees = True if oracle.verdict == "passes" else (
             None if oracle.verdict == "inconclusive" else False

@@ -8,7 +8,7 @@ and evaluate elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -281,10 +281,37 @@ def bracketed_root(
 _ROOT_TOL = 1e-10
 
 
+def _crossing_at_known(
+    g: Callable[[np.ndarray], np.ndarray],
+    xs: np.ndarray,
+    vs: np.ndarray,
+    crosses: np.ndarray,
+    known: np.ndarray,
+) -> np.ndarray:
+    """Which sign-change brackets [xs[i], xs[i + 1]], i in crosses, hold
+    exactly one root of the sorted array known, with g just left and
+    right of it signed like g at the bracket's left and right ends."""
+    a, b = xs[crosses], xs[crosses + 1]
+    first = np.searchsorted(known, a, side="left")
+    one = np.searchsorted(known, b, side="right") - first == 1
+    at_known = np.zeros(crosses.size, dtype=bool)
+    if one.any():
+        s = known[first[one]]
+        eps = 1e-6 * (b[one] - a[one])
+        with np.errstate(all="ignore"):
+            near = np.asarray(g(np.concatenate([s - eps, s + eps])), dtype=float)
+        at_known[one] = (near[:s.size] * vs[crosses[one]] > 0) & (
+            near[s.size:] * vs[crosses[one] + 1] > 0
+        )
+    return at_known
+
+
 def scan_roots(
     g: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     seed_cells: int = 4096,
+    *,
+    known: Sequence[float] = (),
 ) -> np.ndarray:
     """All sign-change roots of g on an interval, one per bracket.
 
@@ -292,6 +319,12 @@ def scan_roots(
     bracketed_root, keeps exact zeros at grid points, and merges
     duplicates.  Roots where g touches zero without changing sign are
     not detected.
+
+    known holds roots of g the caller already has.  A bracket [a, b]
+    that holds exactly one known root s is not refined, and gives no
+    root, when g at s -/+ 1e-6 (b - a) has the signs of g(a) and g(b):
+    the sign change is then the one across s.  Any other bracket may
+    hold a further root and is refined.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -301,8 +334,12 @@ def scan_roots(
         vs = np.asarray(g(xs), dtype=float)
     roots: list[float] = xs[vs == 0.0].tolist()
     fin = np.isfinite(vs)
-    crosses = fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0)
-    for i in np.nonzero(crosses)[0]:
+    crosses = np.nonzero(fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0))[0]
+    if len(known):
+        # sorted(), not np.sort or np.unique: their first call faults in
+        # 0.25-1.6 MB of numpy code that no other scan needs
+        crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(sorted(known)))]
+    for i in crosses:
         roots.append(bracketed_root(lambda t: float(g(np.asarray([t]))[0]), xs[i], xs[i + 1], tol=_ROOT_TOL))
     roots.sort()
     out: list[float] = []

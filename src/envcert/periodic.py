@@ -221,8 +221,11 @@ def find_geometric_cycles(
 
     For each starting phase, fixed points of the r-fold period map are
     located by scan; each orbit is followed for r*p steps and sampled
-    once per period, and cycles are deduplicated across phases by the
-    set of states they visit.
+    once per period.  A root within 1e-7 of a state that a cycle found
+    before visits at the same phase, with a period count dividing r,
+    belongs to an orbit already listed, so each orbit is listed once.
+    The scans are told these states, and skip refining a bracket whose
+    sign change is the crossing at one of them.
     """
     if cfg is None:
         cfg = GridConfig()
@@ -231,13 +234,17 @@ def find_geometric_cycles(
     p = system.period
     hi = system.working_interval.hi
     found: list[GeometricCycle] = []
-    seen: set[tuple] = set()
 
     for r in range(1, r_max + 1):
         n = r * p
         for i in range(p):
+            # phase-i states of the cycles found so far that Phi^r fixes
+            known = [
+                x for c in found if r % c.period_count == 0
+                for ph, x in c.complete if ph == i
+            ]
             g = lambda t: compose_array(system, t, n, i) - t
-            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells)]
+            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells, known=known)]
             anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
             if anchor_res <= 1e-9:
                 # snap roots the sign checks cannot tell from 1 onto it
@@ -245,6 +252,8 @@ def find_geometric_cycles(
                 roots.append(1.0)
             for x0 in sorted(roots):
                 if x0 <= 1e-8:
+                    continue
+                if any(abs(x0 - x) <= 1e-7 * max(1.0, x0) for x in known):
                     continue
                 lower = False
                 for q in _proper_divisors(r):
@@ -261,10 +270,6 @@ def find_geometric_cycles(
                 if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
                     continue
                 orbit = seq[:n]
-                key = tuple(sorted(set(round(float(x), 7) for x in orbit)))
-                if key in seen:
-                    continue
-                seen.add(key)
                 r_geom = _seq_minimal_period(orbit, 1e-8 * max(1.0, max(orbit)))
                 points = tuple(orbit[q * p] for q in range(r))
                 s = math.lcm(r_geom, p)
@@ -279,5 +284,6 @@ def find_geometric_cycles(
                         complete=complete,
                     )
                 )
+                known.extend(x for ph, x in complete if ph == i)
     found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
     return tuple(found)

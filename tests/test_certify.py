@@ -185,6 +185,18 @@ def test_period_one_map_and_period_map_agree(model):
     assert failure == ("violation" if model_only else None)
 
 
+def test_oracle_runs_at_the_certificate_radius():
+    # the envelope passes at 1e-4, but the axiom gate needs 1e-2 here;
+    # at 1e-4 the oracle's cells hugging 1 stay undecided
+    system = make_system([make_model("custom", pieces=[(0.0, "x*exp((1 - x)**3)")], x_max=3.0)])
+    cert = certify_global_stability(system)
+    assert cert.status == "CertifiedGlobal"
+    assert cert.tolerances["exclusion_radius_effective"] == 1e-2
+    assert cert.oracle.delta == 1e-2
+    assert cert.oracle.verdict == "passes"
+    assert cert.oracle_agrees is True
+
+
 def test_certify_explicit_candidate_list():
     bad = make_custom_envelope("x*exp(2*(1 - x))")
     cert = certify_global_stability(

@@ -168,6 +168,58 @@ def test_scan_roots_constant_is_empty():
     assert roots.size == 0
 
 
+def test_scan_roots_misses_a_touching_root():
+    # g touches 0 at 0.5 without a sign change, and no grid point of
+    # (0, 1.1) lands on 0.5, so the scan has nothing to find
+    assert scan_roots(lambda x: (np.asarray(x) - 0.5) ** 2, (0.0, 1.1)).size == 0
+
+
+def _counted_brackets(monkeypatch):
+    brackets = []
+    real = numerics.bracketed_root
+
+    def counted(g, a, b, tol=1e-12):
+        brackets.append((a, b))
+        return real(g, a, b, tol)
+
+    monkeypatch.setattr(numerics, "bracketed_root", counted)
+    return brackets
+
+
+def test_scan_roots_skips_a_known_root_alone_in_its_bracket(monkeypatch):
+    g = lambda x: x * (x - 0.3) * (x + 0.7)
+    brackets = _counted_brackets(monkeypatch)
+    found = scan_roots(g, (-1.0, 1.0), known=[0.3])
+    assert len(brackets) == 1
+    np.testing.assert_allclose(found, [-0.7, 0.0], atol=1e-10)
+    brackets.clear()
+    # a known value that is not a root of g skips nothing
+    found = scan_roots(g, (-1.0, 1.0), known=[0.5])
+    assert len(brackets) == 2
+    np.testing.assert_allclose(found, [-0.7, 0.0, 0.3], atol=1e-10)
+
+
+def test_scan_roots_refines_a_bracket_with_more_roots_than_the_known_one(monkeypatch):
+    # Ricker r = 3.164072453964034: Phi^6 - id changes sign three times in
+    # the grid cell [0.00977, 0.01465] of (1e-9, 20), at 0.01094, at the
+    # 3-cycle point 0.01182 and at 0.01307
+    f = lambda x: x * np.exp(3.164072453964034 * (1.0 - x))
+
+    def g(x):
+        y = np.asarray(x, dtype=float)
+        for _ in range(6):
+            y = f(y)
+        return y - x
+
+    three_cycle = scan_roots(lambda x: f(f(f(np.asarray(x)))) - x, (0.0097, 0.0147))
+    assert three_cycle == pytest.approx([0.01182018], abs=1e-8)
+    brackets = _counted_brackets(monkeypatch)
+    found = scan_roots(g, (1e-9, 20.0), known=three_cycle)
+    cell = [(a, b) for a, b in brackets if a < 0.01182 < b]
+    assert cell == [pytest.approx((0.00977, 0.01465), abs=1e-5)]
+    assert any(a <= r <= b for r in found for a, b in cell)
+
+
 def test_scan_roots_seeded_quartics():
     rng = np.random.default_rng(1724)
     for _ in range(10):

@@ -1,9 +1,11 @@
 """Composition, working intervals, orbits and cycle enumeration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from envcert import (
     Interval,
@@ -16,7 +18,8 @@ from envcert import (
     make_model,
     make_system,
 )
-from envcert.numerics import fd_derivative
+from envcert.numerics import GridConfig, fd_derivative, scan_roots
+from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period
 
 
 def ricker_system(*rs, x_max=None):
@@ -186,3 +189,94 @@ def test_orbit_requires_positive_period_count():
     sys2 = ricker_system(1.5, 1.2)
     with pytest.raises(ValueError):
         iterate_orbit(sys2, 0.5, 0)
+
+
+def _reference_cycles(system, r_max):
+    """The cycle search without known states: every bracket is refined and
+    orbits are deduplicated by 7-digit state sets, which can list one
+    chaotic orbit twice.  Returns each cycle's complete tuple."""
+    cfg = GridConfig()
+    p = system.period
+    hi = system.working_interval.hi
+    found = []
+    seen = set()
+    for r in range(1, r_max + 1):
+        n = r * p
+        for i in range(p):
+            g = lambda t: compose_array(system, t, n, i) - t
+            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells)]
+            anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
+            if anchor_res <= 1e-9:
+                roots = [x for x in roots if abs(x - 1.0) > cfg.exclusion_radius]
+                roots.append(1.0)
+            for x0 in sorted(roots):
+                if x0 <= 1e-8:
+                    continue
+                lower = False
+                for q in _proper_divisors(r):
+                    img = float(compose_array(system, np.asarray([x0]), q * p, i)[0])
+                    if abs(img - x0) <= 1e-8 * max(1.0, x0):
+                        lower = True
+                        break
+                if lower:
+                    continue
+                try:
+                    seq = _checked_walk(system, x0, n, i)
+                except ValueError:
+                    continue
+                if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
+                    continue
+                orbit = seq[:n]
+                key = tuple(sorted(set(round(float(x), 7) for x in orbit)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                r_geom = _seq_minimal_period(orbit, 1e-8 * max(1.0, max(orbit)))
+                s = math.lcm(r_geom, p)
+                found.append(tuple(((i + t) % p, orbit[t % n]) for t in range(s)))
+    return found
+
+
+def _same_orbit(c1, c2, tol=1e-6):
+    """Two complete cycles visit the same (phase, state) pairs within tol."""
+    def covered(a, b):
+        return all(any(pa == pb and abs(xa - xb) <= tol for pb, xb in b) for pa, xa in a)
+    return covered(c1, c2) and covered(c2, c1)
+
+
+def test_each_orbit_is_listed_once():
+    # walked from different points, the 5-cycle and a 6-cycle of this
+    # chaotic map round differently at 7 digits, and were listed twice
+    cycles = find_geometric_cycles(ricker_system(3.0), 6)
+    assert [c.period_count for c in cycles] == [1, 2, 4, 5, 5, 6, 6]
+    mins = [min(c.points) for c in cycles]
+    assert sum(abs(m - 0.041146) < 1e-6 for m in mins) == 1
+    assert sum(abs(m - 0.064808) < 1e-6 for m in mins) == 1
+
+
+_OSC_MAP = st.one_of(
+    st.builds(lambda r: ("ricker", {"r": r}), st.floats(2.3, 3.3)),
+    # f'(1) < -1 needs mu > c/(c - 2)
+    st.builds(
+        lambda c, t: ("beverton-holt", {"mu": c / (c - 2.0) + 1.0 + t * 6.0, "c": c}),
+        st.floats(2.5, 4.0), st.floats(0.0, 1.0),
+    ),
+)
+_MILD_RICKER = st.builds(lambda r: ("ricker", {"r": r}), st.floats(0.5, 1.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(osc=_OSC_MAP, mild=st.lists(_MILD_RICKER, max_size=2), r_max=st.integers(1, 5))
+@example(osc=("ricker", {"r": 3.0}), mild=[], r_max=5)
+def test_cycles_match_the_reference_search(osc, mild, r_max):
+    system = make_system([make_model(f, p) for f, p in [osc, *mild]])
+    cycles = [c.complete for c in find_geometric_cycles(system, r_max)]
+    reference = []
+    for c in _reference_cycles(system, r_max):
+        if not any(_same_orbit(c, d) for d in reference):
+            reference.append(c)
+    assert not any(
+        _same_orbit(a, b) for k, a in enumerate(cycles) for b in cycles[:k]
+    ), "an orbit is listed twice"
+    assert len(cycles) == len(reference)
+    assert all(any(_same_orbit(c, d) for d in cycles) for c in reference)
