@@ -45,6 +45,10 @@ class GridConfig:
     exclusion_radius: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("seed_cells", "max_refinement_depth"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer (got {v!r})")
         if self.seed_cells < 1:
             raise ValueError("seed_cells must be at least 1")
         if not 0 <= self.max_refinement_depth <= 30:
@@ -312,6 +316,7 @@ def scan_roots(
     seed_cells: int = 4096,
     *,
     known: Sequence[float] = (),
+    visit: Callable[[float], Sequence[float]] | None = None,
 ) -> np.ndarray:
     """All sign-change roots of g on an interval, one per bracket.
 
@@ -325,6 +330,12 @@ def scan_roots(
     root, when g at s -/+ 1e-6 (b - a) has the signs of g(a) and g(b):
     the sign change is then the one across s.  Any other bracket may
     hold a further root and is refined.
+
+    Roots are found in ascending order.  visit, if given, is called with
+    each root as soon as it is found, before any bracket above it is
+    refined, and returns the roots of g it has learned from it (say the
+    other points of a cycle through it); these join known, so the
+    brackets still to come that hold one of them alone are skipped.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -332,21 +343,36 @@ def scan_roots(
     xs = np.linspace(lo, hi, max(seed_cells, 8) + 1)
     with np.errstate(all="ignore"):
         vs = np.asarray(g(xs), dtype=float)
-    roots: list[float] = xs[vs == 0.0].tolist()
+    zeros = np.nonzero(vs == 0.0)[0].tolist()
     fin = np.isfinite(vs)
     crosses = np.nonzero(fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0))[0]
-    if len(known):
-        # sorted(), not np.sort or np.unique: their first call faults in
-        # 0.25-1.6 MB of numpy code that no other scan needs
-        crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(sorted(known)))]
-    for i in crosses:
-        roots.append(bracketed_root(lambda t: float(g(np.asarray([t]))[0]), xs[i], xs[i + 1], tol=_ROOT_TOL))
-    roots.sort()
+    # sorted(), not np.sort or np.unique: their first call faults in
+    # 0.25-1.6 MB of numpy code that no other scan needs
+    known = sorted(known)
+    if known:
+        crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(known))]
+    g1 = lambda t: float(g(np.asarray([t]))[0])
     out: list[float] = []
-    for r in roots:
-        radius = max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r)))
-        if not out or r - out[-1] > radius:
-            out.append(r)
+    z = c = 0
+    while z < len(zeros) or c < len(crosses):
+        # the zero at xs[j] lies below the bracket [xs[i], xs[i + 1]]
+        # exactly when j < i, as j is neither i nor i + 1
+        if c == len(crosses) or (z < len(zeros) and zeros[z] < crosses[c]):
+            r = float(xs[zeros[z]])
+            z += 1
+        else:
+            i = crosses[c]
+            r = bracketed_root(g1, xs[i], xs[i + 1], tol=_ROOT_TOL)
+            c += 1
+        if out and r - out[-1] <= max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r))):
+            continue
+        out.append(r)
+        learned = visit(r) if visit is not None else ()
+        if len(learned):
+            known = sorted([*known, *learned])
+            rest = crosses[c:]
+            crosses = rest[~_crossing_at_known(g, xs, vs, rest, np.asarray(known))]
+            c = 0
     return np.asarray(out)
 
 

@@ -214,6 +214,40 @@ def _seq_minimal_period(seq: Sequence[float], tol: float) -> int:
     return n
 
 
+def _cycle_through(
+    system: PeriodicSystem, x0: float, r: int, i: int, known: Sequence[float]
+) -> GeometricCycle | None:
+    """The r-cycle from phase i through the root x0 of Phi^r - id, or None
+    when x0 is 0, a state of an orbit already listed (within 1e-7 of
+    known), of a lower period count, or its orbit leaves a domain or does
+    not close."""
+    p = system.period
+    n = r * p
+    if x0 <= 1e-8:
+        return None
+    if any(abs(x0 - x) <= 1e-7 * max(1.0, x0) for x in known):
+        return None
+    for q in _proper_divisors(r):
+        img = float(compose_array(system, np.asarray([x0]), q * p, i)[0])
+        if abs(img - x0) <= 1e-8 * max(1.0, x0):
+            return None
+    try:
+        seq = _checked_walk(system, x0, n, i)
+    except ValueError:  # the orbit leaves a map's domain
+        return None
+    if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
+        return None
+    orbit = seq[:n]
+    r_geom = _seq_minimal_period(orbit, 1e-8 * max(1.0, max(orbit)))
+    s = math.lcm(r_geom, p)
+    return GeometricCycle(
+        start_phase=i,
+        points=tuple(orbit[q * p] for q in range(r)),
+        period_count=r,
+        complete=tuple(((i + t) % p, orbit[t % n]) for t in range(s)),
+    )
+
+
 def find_geometric_cycles(
     system: PeriodicSystem, r_max: int, cfg: GridConfig | None = None
 ) -> tuple[GeometricCycle, ...]:
@@ -224,66 +258,48 @@ def find_geometric_cycles(
     once per period.  A root within 1e-7 of a state that a cycle found
     before visits at the same phase, with a period count dividing r,
     belongs to an orbit already listed, so each orbit is listed once.
-    The scans are told these states, and skip refining a bracket whose
-    sign change is the crossing at one of them.
+    Each scan walks its roots in ascending order as it refines them, and
+    is told the phase-i states of every cycle found so far, those of its
+    own new cycles included: it skips refining a bracket whose sign
+    change is the crossing at one of them.
     """
     if cfg is None:
         cfg = GridConfig()
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    p = system.period
     hi = system.working_interval.hi
     found: list[GeometricCycle] = []
-
     for r in range(1, r_max + 1):
-        n = r * p
-        for i in range(p):
+        n = r * system.period
+        for i in range(system.period):
             # phase-i states of the cycles found so far that Phi^r fixes
             known = [
                 x for c in found if r % c.period_count == 0
                 for ph, x in c.complete if ph == i
             ]
             g = lambda t: compose_array(system, t, n, i) - t
-            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells, known=known)]
-            anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
-            if anchor_res <= 1e-9:
-                # snap roots the sign checks cannot tell from 1 onto it
-                roots = [x for x in roots if abs(x - 1.0) > cfg.exclusion_radius]
-                roots.append(1.0)
-            for x0 in sorted(roots):
-                if x0 <= 1e-8:
-                    continue
-                if any(abs(x0 - x) <= 1e-7 * max(1.0, x0) for x in known):
-                    continue
-                lower = False
-                for q in _proper_divisors(r):
-                    img = float(compose_array(system, np.asarray([x0]), q * p, i)[0])
-                    if abs(img - x0) <= 1e-8 * max(1.0, x0):
-                        lower = True
-                        break
-                if lower:
-                    continue
-                try:
-                    seq = _checked_walk(system, x0, n, i)
-                except ValueError:  # the orbit leaves a map's domain
-                    continue
-                if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
-                    continue
-                orbit = seq[:n]
-                r_geom = _seq_minimal_period(orbit, 1e-8 * max(1.0, max(orbit)))
-                points = tuple(orbit[q * p] for q in range(r))
-                s = math.lcm(r_geom, p)
-                complete = tuple(
-                    ((i + t) % p, orbit[t % n]) for t in range(s)
-                )
-                found.append(
-                    GeometricCycle(
-                        start_phase=i,
-                        points=points,
-                        period_count=r,
-                        complete=complete,
-                    )
-                )
-                known.extend(x for ph, x in complete if ph == i)
+            # when Phi^r fixes 1, the first root the sign checks cannot
+            # tell from 1 is visited as 1 and the others are dropped; 1 is
+            # visited after the scan if no root is that close
+            anchored = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0) <= 1e-9
+            one_pending = anchored
+
+            def visit(x0: float) -> list[float]:
+                nonlocal one_pending
+                if anchored and abs(x0 - 1.0) <= cfg.exclusion_radius:
+                    if not one_pending:
+                        return []
+                    one_pending, x0 = False, 1.0
+                cycle = _cycle_through(system, x0, r, i, known)
+                if cycle is None:
+                    return []
+                found.append(cycle)
+                states = [x for ph, x in cycle.complete if ph == i]
+                known.extend(states)
+                return states
+
+            scan_roots(g, (1e-9, hi), cfg.seed_cells, known=known, visit=visit)
+            if one_pending:
+                visit(1.0)
     found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
     return tuple(found)

@@ -78,6 +78,28 @@ def test_config_rejects_unknown_keys():
                           "grid": {"cells": 64}})
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("seed_cells", 4096.0, "4096.0"),
+    ("seed_cells", True, "True"),
+    ("max_refinement_depth", 12.0, "12.0"),
+    ("max_refinement_depth", False, "False"),
+])
+def test_grid_counts_must_be_integers(tmp_path, capsys, field, value, shown):
+    # a float or bool count once passed validation and crashed np.linspace
+    # or range with a TypeError traceback
+    base = {"models": [{"family": "ricker", "params": {"r": 1.0}}]}
+    with pytest.raises(ValueError, match=f"grid: {field} must be an integer"):
+        config_from_dict({**base, "grid": {field: value}})
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text(f"models:\n  - {{family: ricker, params: {{r: 1.0}}}}\n"
+                   f"grid: {{{field}: {shown.lower()}}}\n")
+    for command in ("certify", "cycles"):
+        assert run_command([command, str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: grid: {field} must be an integer (got {shown})" in err
+
+
 def test_config_requires_models():
     with pytest.raises(ValueError, match="root must be a mapping"):
         config_from_dict([1, 2])

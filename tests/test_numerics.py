@@ -197,6 +197,18 @@ def test_scan_roots_skips_a_known_root_alone_in_its_bracket(monkeypatch):
     found = scan_roots(g, (-1.0, 1.0), known=[0.5])
     assert len(brackets) == 2
     np.testing.assert_allclose(found, [-0.7, 0.0, 0.3], atol=1e-10)
+    brackets.clear()
+    # learned mid-scan: visiting -0.7 reveals 0.3, so its bracket is skipped
+    visited = []
+
+    def visit(r):
+        visited.append(r)
+        return [0.3] if r < -0.5 else []
+
+    found = scan_roots(g, (-1.0, 1.0), visit=visit)
+    assert len(brackets) == 1
+    np.testing.assert_allclose(visited, [-0.7, 0.0], atol=1e-10)
+    np.testing.assert_allclose(found, [-0.7, 0.0], atol=1e-10)
 
 
 def test_scan_roots_refines_a_bracket_with_more_roots_than_the_known_one(monkeypatch):
@@ -215,6 +227,15 @@ def test_scan_roots_refines_a_bracket_with_more_roots_than_the_known_one(monkeyp
     assert three_cycle == pytest.approx([0.01182018], abs=1e-8)
     brackets = _counted_brackets(monkeypatch)
     found = scan_roots(g, (1e-9, 20.0), known=three_cycle)
+    cell = [(a, b) for a, b in brackets if a < 0.01182 < b]
+    assert cell == [pytest.approx((0.00977, 0.01465), abs=1e-5)]
+    assert any(a <= r <= b for r in found for a, b in cell)
+    brackets.clear()
+    # learned mid-scan: an extra root at 0.005, in the cell below, reveals
+    # the 3-cycle point, and the cell is refined all the same
+    found = scan_roots(lambda x: (np.asarray(x) - 0.005) * g(x), (1e-9, 20.0),
+                       visit=lambda r: list(three_cycle) if r < 0.006 else [])
+    assert found[0] == pytest.approx(0.005, abs=1e-10)
     cell = [(a, b) for a, b in brackets if a < 0.01182 < b]
     assert cell == [pytest.approx((0.00977, 0.01465), abs=1e-5)]
     assert any(a <= r <= b for r in found for a, b in cell)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from envcert import (
+    GeometricCycle,
     Interval,
     PeriodicSystem,
     compose_array,
@@ -18,8 +19,14 @@ from envcert import (
     make_model,
     make_system,
 )
+from envcert import numerics
+from envcert.cli import _bundled_names, _load_config
+from envcert.config import config_to_system
 from envcert.numerics import GridConfig, fd_derivative, scan_roots
 from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period
+
+
+BUNDLED = _bundled_names()
 
 
 def ricker_system(*rs, x_max=None):
@@ -280,3 +287,90 @@ def test_cycles_match_the_reference_search(osc, mild, r_max):
     ), "an orbit is listed twice"
     assert len(cycles) == len(reference)
     assert all(any(_same_orbit(c, d) for d in cycles) for c in reference)
+
+
+def _refine_all_cycles(system, r_max, cfg):
+    """The cycle search that refines every bracket of a scan before it
+    walks any root: the scan's roots are visited in sorted order, and a
+    root within 1e-7 of a phase-i state of a cycle already found, with a
+    period count dividing r, is an orbit already listed."""
+    p = system.period
+    hi = system.working_interval.hi
+    found = []
+    for r in range(1, r_max + 1):
+        n = r * p
+        for i in range(p):
+            known = [
+                x for c in found if r % c.period_count == 0
+                for ph, x in c.complete if ph == i
+            ]
+            g = lambda t: compose_array(system, t, n, i) - t
+            roots = [float(x) for x in scan_roots(g, (1e-9, hi), cfg.seed_cells)]
+            anchor_res = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0)
+            if anchor_res <= 1e-9:
+                roots = [x for x in roots if abs(x - 1.0) > cfg.exclusion_radius]
+                roots.append(1.0)
+            for x0 in sorted(roots):
+                if x0 <= 1e-8:
+                    continue
+                if any(abs(x0 - x) <= 1e-7 * max(1.0, x0) for x in known):
+                    continue
+                if any(
+                    abs(float(compose_array(system, np.asarray([x0]), q * p, i)[0]) - x0)
+                    <= 1e-8 * max(1.0, x0)
+                    for q in _proper_divisors(r)
+                ):
+                    continue
+                try:
+                    seq = _checked_walk(system, x0, n, i)
+                except ValueError:
+                    continue
+                if abs(seq[-1] - x0) > 1e-7 * max(1.0, x0):
+                    continue
+                orbit = seq[:n]
+                r_geom = _seq_minimal_period(orbit, 1e-8 * max(1.0, max(orbit)))
+                s = math.lcm(r_geom, p)
+                complete = tuple(((i + t) % p, orbit[t % n]) for t in range(s))
+                found.append(GeometricCycle(
+                    start_phase=i,
+                    points=tuple(orbit[q * p] for q in range(r)),
+                    period_count=r,
+                    complete=complete,
+                ))
+                known.extend(x for ph, x in complete if ph == i)
+    found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cycles_equal_the_refine_all_search_on_bundled_configs(name):
+    cfg = _load_config(name)
+    system = config_to_system(cfg)
+    assert find_geometric_cycles(system, 6, cfg.grid) == _refine_all_cycles(system, 6, cfg.grid)
+
+
+@settings(deadline=None, max_examples=40)
+@given(osc=_OSC_MAP, mild=st.lists(_MILD_RICKER, max_size=2), r_max=st.integers(1, 5))
+@example(osc=("ricker", {"r": 3.0}), mild=[], r_max=5)
+def test_cycles_equal_the_refine_all_search(osc, mild, r_max):
+    # equal floats, not within a tolerance: skipping a bracket may only
+    # skip a root that would have been dropped as an orbit already listed
+    system = make_system([make_model(f, p) for f, p in [osc, *mild]])
+    assert find_geometric_cycles(system, r_max) == _refine_all_cycles(system, r_max, GridConfig())
+
+
+def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
+    # one refinement for each of the 7 orbits listed, and one for the
+    # bracket at 1 when r = 1; without walking each new cycle before the
+    # scan's other brackets are refined, its other states cost 21 more
+    calls = []
+    real = numerics.bracketed_root
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "bracketed_root", counted)
+    cycles = find_geometric_cycles(ricker_system(3.0), 6)
+    assert len(cycles) == 7
+    assert len(calls) == 8
