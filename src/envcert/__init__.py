@@ -61,7 +61,6 @@ from .periodic import (
     PeriodicSystem,
     compose_array,
     composition_derivative,
-    find_fixed_points,
     find_geometric_cycles,
     iterate_orbit,
     make_system,

@@ -33,12 +33,7 @@ from .models import (
     verify_population_axioms,
 )
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
-from .periodic import (
-    PeriodicSystem,
-    compose_array,
-    composition_derivative,
-    find_fixed_points,
-)
+from .periodic import PeriodicSystem, compose_array, composition_derivative, phase_cycles
 from .report import plain
 
 __all__ = [
@@ -182,7 +177,7 @@ class OracleReport:
 
     # Structure closer to the fixed point than delta is below the
     # check's resolution (the sign legs skip that neighborhood, and a
-    # tangency there drowns the pair scan in roundoff), so it is
+    # tangency there drowns the root search in roundoff), so it is
     # deliberately not reported.
 
 
@@ -201,22 +196,12 @@ def two_cycle_oracle(system: PeriodicSystem, cfg: GridConfig | None = None) -> O
     if hi > 1.0 + 2 * delta:
         right = adaptive_sign_check(g2, (1.0 + delta, hi), "negative", cfg)
 
-    roots = [float(r) for r in scan_roots(g2, (1e-9, hi), cfg.seed_cells)]
-    fps = [float(r) for r in find_fixed_points(system, cfg)]
-    pairs: list[tuple[float, float]] = []
-    for x in roots:
-        if any(abs(x - f) <= 1e-7 * max(1.0, abs(f)) for f in fps):
-            continue
-        y = float(compose_array(system, np.asarray([x]))[0])
-        if abs(x - 1.0) <= delta and abs(y - 1.0) <= delta:
-            # both iterates sit inside the excluded neighborhood; at a
-            # neutral fixed point the scan only brackets rounding noise
-            # of the tangency there
-            continue
-        lo_pt, hi_pt = sorted((x, y))
-        if not any(abs(lo_pt - a) <= 1e-7 for a, _ in pairs):
-            pairs.append((lo_pt, hi_pt))
-    extra = tuple(f for f in fps if f > 1e-8 and abs(f - 1.0) > delta)
+    # the fixed points and two-cycles of Phi from phase 0, found by the
+    # same search as the cycles command lists them
+    ones = phase_cycles(system, 1, 0, (), cfg)
+    twos = phase_cycles(system, 2, 0, [c.points[0] for c in ones], cfg)
+    extra = tuple(c.points[0] for c in ones if c.points != (1.0,))
+    pairs = sorted(tuple(sorted(c.points)) for c in twos)
 
     has_violation = (
         left.status == "violation"

@@ -30,12 +30,7 @@ from .certify import (
 from .config import SystemConfig, config_from_dict, config_to_system, parse_system_config
 from .envelopes import fit_mobius
 from .numerics import GridConfig
-from .periodic import (
-    compose_array,
-    find_fixed_points,
-    find_geometric_cycles,
-    iterate_orbit,
-)
+from .periodic import compose_array, find_geometric_cycles, iterate_orbit
 from .report import ReportDocument, emit_plot_data, emit_report, plain, render_svg
 
 __all__ = ["main", "run_command", "build_parser"]
@@ -232,7 +227,9 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
 
     if cmd == "cycles":
         cycles = find_geometric_cycles(system, args.r_max, grid)
-        fixed = find_fixed_points(system, grid)
+        # 0 when Phi fixes it, then the phase-0 point of each 1-cycle
+        fixed = [0.0] if abs(float(compose_array(system, np.zeros(1))[0])) <= 1e-9 else []
+        fixed += [c.points[0] for c in cycles if c.period_count == 1 and c.start_phase == 0]
         result = {
             "fixed_points": plain(fixed),
             "cycles": plain(cycles),

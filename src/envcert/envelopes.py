@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .models import PopulationModel, compile_expression
+from .models import PopulationModel, _number, compile_expression
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
 from .periodic import PeriodicSystem
 
@@ -68,7 +68,7 @@ def make_mobius(alpha: float) -> Envelope:
     alpha = 0 gives 1/x, alpha = 1/2 gives 2 - x; the positive root is
     1/alpha.  The defining matrix has zero trace, so h o h = id exactly.
     """
-    alpha = float(alpha)
+    alpha = _number(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) (got {alpha:g})")
     x_h = np.inf if alpha == 0.0 else 1.0 / alpha
@@ -93,7 +93,7 @@ def make_reciprocal() -> Envelope:
 
 def make_piecewise_bh(c: float) -> Envelope:
     """Envelope tailored to steep compensatory maps: alpha = (c-2)/(c-1)."""
-    c = float(c)
+    c = _number(c, "c")
     if c <= 2.0:
         raise ValueError(f"c must exceed 2 (got {c:g})")
     alpha = (c - 2.0) / (c - 1.0)
@@ -115,7 +115,7 @@ def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
     return Envelope(
         kind="custom",
         param=None,
-        x_h=float(x_h),
+        x_h=_number(x_h, "x_h", allow_inf=True),
         label=f"custom({expr})",
         expr=expr,
         _eval=ev,

@@ -172,19 +172,27 @@ def _rational_derivs(
     return b0, (b1, b2, b3)
 
 
-def _require_params(family: str, params: Mapping, names: set[str]) -> dict:
+def _number(value, what: str, allow_inf: bool = False) -> float:
+    """value as a float.  It must be an int or a float, not a bool or a
+    string, and finite, though an infinity passes when allow_inf."""
+    if (
+        not isinstance(value, (int, float)) or isinstance(value, bool)
+        or math.isnan(value) or (math.isinf(value) and not allow_inf)
+    ):
+        kind = "number" if allow_inf else "finite number"
+        raise ValueError(f"{what} must be a {kind} (got {value!r})")
+    return float(value)
+
+
+def _require_params(family: str, params, names: set[str]) -> dict:
+    if not isinstance(params, Mapping):
+        raise ValueError(f"{family} params must be a mapping (got {params!r})")
     got = set(params)
     if got != names:
         raise ValueError(
             f"{family} expects parameters {sorted(names)}, got {sorted(got)}"
         )
-    out = {}
-    for k in names:
-        v = params[k]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
-            raise ValueError(f"{family} parameter {k} must be a finite number")
-        out[k] = float(v)
-    return out
+    return {k: _number(params[k], f"{family} parameter {k}") for k in names}
 
 
 def _build_ricker(p: dict):
@@ -529,17 +537,20 @@ def compile_expression(expr_str: str):
 
 
 def _build_custom(pieces: Sequence) -> tuple:
+    if not isinstance(pieces, (list, tuple)):
+        raise ValueError(f"pieces must be a list (got {pieces!r})")
     if not pieces:
         raise ValueError("custom model needs at least one piece")
     parsed: list[tuple[float, str]] = []
     for item in pieces:
+        start = expr = None
         if isinstance(item, Mapping):
             start, expr = item.get("from"), item.get("expr")
-        else:
+        elif isinstance(item, (list, tuple)) and len(item) == 2:
             start, expr = item
         if start is None or expr is None:
             raise ValueError("each piece needs 'from' and 'expr'")
-        parsed.append((float(start), str(expr)))
+        parsed.append((_number(start, "piece 'from'"), str(expr)))
     starts = [s for s, _ in parsed]
     if starts[0] != 0.0:
         raise ValueError("first piece must start at 0.0")
@@ -583,6 +594,8 @@ def make_model(
     """Construct a model of a named family with validated parameters."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    if x_max is not None:
+        x_max = _number(x_max, "x_max")
     if family == "custom":
         if params:
             raise ValueError("custom models take pieces, not params")
@@ -605,9 +618,9 @@ def make_model(
                 raise ValueError(
                     f"x_max for {family} cannot exceed its natural endpoint {natural_hi:g}"
                 )
-            hi = float(x_max)
+            hi = x_max
     else:
-        hi = float(x_max) if x_max is not None else _DEFAULT_X_MAX
+        hi = x_max if x_max is not None else _DEFAULT_X_MAX
         if hi <= 1.0:
             raise ValueError("x_max must exceed 1")
 

@@ -226,19 +226,16 @@ def adaptive_sign_check(
 
 # Secant/bisection steps bracketed_root takes before returning the midpoint.
 _MAX_ITER = 200
+# Bracket width at which bracketed_root stops refining a root.
+_ROOT_TOL = 1e-10
 
 
-def bracketed_root(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> float:
+def bracketed_root(g: Callable[[float], float], a: float, b: float) -> float:
     """Locate a root of g in [a, b] given a sign change at the ends.
 
     Alternates secant proposals with bisection so the bracket width is
     guaranteed to shrink; returns the bracket midpoint once it is
-    narrower than tol.
+    narrower than _ROOT_TOL.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -255,7 +252,7 @@ def bracketed_root(
 
     use_secant = True
     for _ in range(_MAX_ITER):
-        if b - a <= tol:
+        if b - a <= _ROOT_TOL:
             break
         x = None
         if use_secant and fb != fa:
@@ -279,10 +276,6 @@ def bracketed_root(
             b, fb = x, fx
         use_secant = not use_secant
     return 0.5 * (a + b)
-
-
-# Bracket width at which scan_roots stops refining a root.
-_ROOT_TOL = 1e-10
 
 
 def _crossing_at_known(
@@ -362,7 +355,7 @@ def scan_roots(
             z += 1
         else:
             i = crosses[c]
-            r = bracketed_root(g1, xs[i], xs[i + 1], tol=_ROOT_TOL)
+            r = bracketed_root(g1, xs[i], xs[i + 1])
             c += 1
         if out and r - out[-1] <= max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r))):
             continue

@@ -24,8 +24,8 @@ __all__ = [
     "compose_array",
     "composition_derivative",
     "iterate_orbit",
-    "find_fixed_points",
     "GeometricCycle",
+    "phase_cycles",
     "find_geometric_cycles",
 ]
 
@@ -123,14 +123,11 @@ def compose_array(
     return val
 
 
-def composition_derivative(
-    system: PeriodicSystem, x: float, i: int = 0
-) -> float:
-    """(Phi_p^i)'(x) by the chain rule over one period."""
+def composition_derivative(system: PeriodicSystem, x: float) -> float:
+    """(Phi_p)'(x) by the chain rule over one period from phase 0."""
     prod = 1.0
     val = float(x)
-    for t in range(system.period):
-        f = system.maps[(i + t) % system.period]
+    for f in system.maps:
         prod *= f.deriv(val, 1)
         val = f.eval(val)
     return prod
@@ -160,30 +157,6 @@ def iterate_orbit(
             f"x0={val} outside working interval [0, {system.working_interval.hi:g}]"
         )
     return np.asarray(_checked_walk(system, val, system.period * num_periods))
-
-
-def find_fixed_points(
-    system: PeriodicSystem, cfg: GridConfig | None = None
-) -> np.ndarray:
-    """Fixed points of the period map Phi_p on the working interval.
-
-    Sign-change scan plus the two structural points 0 and 1, which are
-    verified by residual and injected even when tangential; scan roots
-    within 1e-7 of 0, or within the exclusion radius of 1, are snapped
-    onto it (the sign checks cannot resolve structure that close to 1).
-    """
-    if cfg is None:
-        cfg = GridConfig()
-    hi = system.working_interval.hi
-    g = lambda t: compose_array(system, t) - t
-    roots = [float(r) for r in scan_roots(g, (0.0, hi), cfg.seed_cells)]
-    for anchor, radius in ((0.0, 1e-7), (1.0, cfg.exclusion_radius)):
-        res = abs(float(compose_array(system, np.asarray([anchor]))[0]) - anchor)
-        if res <= 1e-9:
-            roots = [r for r in roots if abs(r - anchor) > radius]
-            roots.append(anchor)
-    roots.sort()
-    return np.asarray(roots)
 
 
 @dataclass(frozen=True)
@@ -248,58 +221,70 @@ def _cycle_through(
     )
 
 
+def phase_cycles(
+    system: PeriodicSystem,
+    r: int,
+    i: int,
+    known: Sequence[float],
+    cfg: GridConfig,
+) -> list[GeometricCycle]:
+    """The r-cycles from phase i through roots of Phi^r - id, in the
+    order found, other than those through a state in known.
+
+    When Phi^r fixes 1, the cycle through 1 comes first and joins known
+    before the scan, and any other root within the exclusion radius of 1
+    is dropped: the sign checks cannot tell it from 1.  The scan then
+    walks its roots in ascending order as it refines them; each new
+    cycle's phase-i states join known, so the scan skips refining a
+    bracket whose sign change is the crossing at one of them.
+    """
+    n = r * system.period
+    known = list(known)
+    found: list[GeometricCycle] = []
+    anchored = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0) <= 1e-9
+
+    def visit(x0: float) -> list[float]:
+        if anchored and 0.0 < abs(x0 - 1.0) <= cfg.exclusion_radius:
+            return []
+        cycle = _cycle_through(system, x0, r, i, known)
+        if cycle is None:
+            return []
+        found.append(cycle)
+        states = [x for ph, x in cycle.complete if ph == i]
+        known.extend(states)
+        return states
+
+    if anchored:
+        visit(1.0)
+    g = lambda t: compose_array(system, t, n, i) - t
+    scan_roots(g, (1e-9, system.working_interval.hi), cfg.seed_cells, known=known, visit=visit)
+    return found
+
+
 def find_geometric_cycles(
     system: PeriodicSystem, r_max: int, cfg: GridConfig | None = None
 ) -> tuple[GeometricCycle, ...]:
     """Positive cycles of the system up to r_max full periods.
 
-    For each starting phase, fixed points of the r-fold period map are
-    located by scan; each orbit is followed for r*p steps and sampled
-    once per period.  A root within 1e-7 of a state that a cycle found
-    before visits at the same phase, with a period count dividing r,
-    belongs to an orbit already listed, so each orbit is listed once.
-    Each scan walks its roots in ascending order as it refines them, and
-    is told the phase-i states of every cycle found so far, those of its
-    own new cycles included: it skips refining a bracket whose sign
-    change is the crossing at one of them.
+    For each period count r and starting phase i, phase_cycles finds the
+    fixed points of the r-fold period map; each orbit is followed for
+    r*p steps and sampled once per period.  A root within 1e-7 of a state
+    that a cycle found before visits at the same phase, with a period
+    count dividing r, belongs to an orbit already listed, so each orbit
+    is listed once.
     """
     if cfg is None:
         cfg = GridConfig()
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    hi = system.working_interval.hi
     found: list[GeometricCycle] = []
     for r in range(1, r_max + 1):
-        n = r * system.period
         for i in range(system.period):
             # phase-i states of the cycles found so far that Phi^r fixes
             known = [
                 x for c in found if r % c.period_count == 0
                 for ph, x in c.complete if ph == i
             ]
-            g = lambda t: compose_array(system, t, n, i) - t
-            # when Phi^r fixes 1, the first root the sign checks cannot
-            # tell from 1 is visited as 1 and the others are dropped; 1 is
-            # visited after the scan if no root is that close
-            anchored = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0) <= 1e-9
-            one_pending = anchored
-
-            def visit(x0: float) -> list[float]:
-                nonlocal one_pending
-                if anchored and abs(x0 - 1.0) <= cfg.exclusion_radius:
-                    if not one_pending:
-                        return []
-                    one_pending, x0 = False, 1.0
-                cycle = _cycle_through(system, x0, r, i, known)
-                if cycle is None:
-                    return []
-                found.append(cycle)
-                states = [x for ph, x in cycle.complete if ph == i]
-                known.extend(states)
-                return states
-
-            scan_roots(g, (1e-9, hi), cfg.seed_cells, known=known, visit=visit)
-            if one_pending:
-                visit(1.0)
+            found.extend(phase_cycles(system, r, i, known, cfg))
     found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
     return tuple(found)

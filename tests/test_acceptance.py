@@ -15,7 +15,7 @@ from envcert import (
     certify_global_stability,
     compose_array,
     envelops,
-    find_fixed_points,
+    find_geometric_cycles,
     fit_mobius,
     iterate_orbit,
     make_custom_envelope,
@@ -104,7 +104,8 @@ def test_criterion_3():
 
     w_hi = system.working_interval.hi
     cells = int(round(w_hi / 1e-4))  # scan resolution 1e-4
-    fps = find_fixed_points(system, GridConfig(seed_cells=cells))
+    cycles = find_geometric_cycles(system, 1, GridConfig(seed_cells=cells))
+    fps = [c.points[0] for c in cycles if c.start_phase == 0]
     positive = [float(x) for x in fps if x > 1e-12]
     assert len(positive) == 3
     assert positive[0] == pytest.approx(1.0, abs=1e-12)

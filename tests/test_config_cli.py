@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from envcert import config_from_dict, config_to_system, parse_system_config
+from envcert import config_from_dict, config_to_system, parse_system_config, two_cycle_oracle
 from envcert import envelopes as envelopes_mod
 from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, run_command
 
@@ -100,6 +100,39 @@ def test_grid_counts_must_be_integers(tmp_path, capsys, field, value, shown):
         assert f"error: grid: {field} must be an integer (got {shown})" in err
 
 
+_RICKER = "models:\n  - {family: ricker, params: {r: 1.0}}\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param("models:\n  - {family: ricker, params: {r: 1.0}, x_max: [3]}\n",
+                 "models[0]", id="x_max"),
+    pytest.param("models:\n  - {family: ricker, params: 3}\n", "models[0]", id="params"),
+    pytest.param("models:\n  - {family: custom, pieces: 5}\n", "models[0]", id="pieces"),
+    pytest.param("models:\n  - family: custom\n    pieces:\n      - {from: 0.0, expr: x}\n"
+                 "      - {from: [1], expr: x}\n", "models[0]", id="from"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: mobius, alpha: [0.5]}\n",
+                 "envelopes[0]", id="alpha"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: piecewise-bh, c: {a: 1}}\n",
+                 "envelopes[0]", id="c"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: custom, expr: 2 - x, x_h: [2]}\n",
+                 "envelopes[0]", id="x_h"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: mobius, alpha: \"0.5\"}\n",
+                 "envelopes[0]", id="alpha-string"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: reciprocal}\n  - {kind: mobius, alpha: true}\n",
+                 "envelopes[1]", id="alpha-bool"),
+])
+def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where):
+    # each of these once crashed with a TypeError traceback (exit 1, the
+    # code of a definite negative), or coerced a string or bool to a float
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert run_command(["certify", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {where}: " in err
+    assert " must be a " in err
+
+
 def test_config_requires_models():
     with pytest.raises(ValueError, match="root must be a mapping"):
         config_from_dict([1, 2])
@@ -116,10 +149,12 @@ def test_config_envelope_kinds():
         {"kind": "reciprocal"},
         {"kind": "piecewise-bh", "c": 3.0},
         {"kind": "custom", "expr": "2 - x"},
+        {"kind": "custom", "expr": "1/x", "x_h": float("inf")},
     ]})
     assert [h.kind for h in cfg.envelopes] == [
-        "mobius", "reciprocal", "piecewise-bh", "custom"
+        "mobius", "reciprocal", "piecewise-bh", "custom", "custom"
     ]
+    assert cfg.envelopes[-1].x_h == float("inf")
     with pytest.raises(ValueError, match="unknown envelope kind"):
         config_from_dict({**base, "envelopes": [{"kind": "affine"}]})
     with pytest.raises(ValueError, match="needs 'alpha'"):
@@ -468,6 +503,30 @@ def test_subcommands_agree(name, tmp_path, capsys):
         code, fit = _report(capsys, "mobius-fit", name)
         assert code == 0
         assert any(lo <= alpha <= hi for lo, hi in fit["feasible"]), (alpha, fit)
+
+
+RICKER_TWO_CYCLE = "models:\n  - {family: ricker, params: {r: 2.3}}\n"
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["ricker_two_cycle"])
+def test_subcommands_agree_on_the_period_map(name, tmp_path, capsys):
+    # the cycles report's fixed points and the oracle's fixed points and
+    # two-cycles come from one search, so they are equal floats
+    if name == "ricker_two_cycle":
+        name = tmp_path / f"{name}.yaml"
+        name.write_text(RICKER_TWO_CYCLE)
+        name = str(name)
+    code, report = _report(capsys, "cycles", name, "--r-max", "2")
+    assert code == 0
+    phase0 = [c["points"] for c in report["cycles"] if c["start_phase"] == 0]
+    ones = [pts[0] for pts in phase0 if len(pts) == 1]
+    assert report["fixed_points"] == [0.0] + ones
+    cfg = _load_config(name)
+    oracle = two_cycle_oracle(config_to_system(cfg), cfg.grid)
+    assert list(oracle.extra_fixed_points) == [x for x in ones if x != 1.0]
+    assert [list(pair) for pair in oracle.two_cycles] == sorted(
+        sorted(pts) for pts in phase0 if len(pts) == 2
+    )
 
 
 @pytest.mark.parametrize("name, status, axioms_code", [

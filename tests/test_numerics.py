@@ -178,9 +178,9 @@ def _counted_brackets(monkeypatch):
     brackets = []
     real = numerics.bracketed_root
 
-    def counted(g, a, b, tol=1e-12):
+    def counted(g, a, b):
         brackets.append((a, b))
-        return real(g, a, b, tol)
+        return real(g, a, b)
 
     monkeypatch.setattr(numerics, "bracketed_root", counted)
     return brackets

@@ -1,6 +1,7 @@
 """Composition, working intervals, orbits and cycle enumeration."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,14 +14,13 @@ from envcert import (
     PeriodicSystem,
     compose_array,
     composition_derivative,
-    find_fixed_points,
     find_geometric_cycles,
     iterate_orbit,
     make_model,
     make_system,
 )
 from envcert import numerics
-from envcert.cli import _bundled_names, _load_config
+from envcert.cli import _bundled_names, _load_config, run_command
 from envcert.config import config_to_system
 from envcert.numerics import GridConfig, fd_derivative, scan_roots
 from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period
@@ -137,19 +137,22 @@ def test_cycles_skip_an_orbit_that_escapes():
     assert [c.points for c in cycles] == [pytest.approx((1.0,), abs=1e-9)]
 
 
-def test_fixed_points_ricker_triple():
-    sys3 = ricker_system(1.8, 1.2, 0.5)
-    fps = find_fixed_points(sys3)
+def cycles_fixed_points(name, capsys):
+    """The fixed points of the period map in a bundled config's cycles report."""
+    assert run_command(["cycles", name, "--r-max", "1"]) == 0
+    return np.asarray(json.loads(capsys.readouterr().out)["result"]["fixed_points"])
+
+
+def test_fixed_points_ricker_triple(capsys):
+    # ricker r = 1.8, 1.2, 0.5
+    fps = cycles_fixed_points("ricker_triple", capsys)
     np.testing.assert_allclose(fps, [0.0, 1.0], atol=1e-9)
 
 
-def test_fixed_point_injection_at_tangency():
-    # mu = 2 makes the composition tangent to the diagonal at 1
-    pair = make_system([
-        make_model("quadratic", {"mu": 2.0}),
-        make_model("quadratic", {"mu": 1.0}),
-    ])
-    fps = find_fixed_points(pair)
+def test_fixed_point_injection_at_tangency(capsys):
+    # quadratic mu = 2.0, 1.0: mu = 2 makes the composition tangent to
+    # the diagonal at 1
+    fps = cycles_fixed_points("quadratic_pair", capsys)
     assert np.any(np.abs(fps - 1.0) < 1e-9)
     assert np.any(np.abs(fps) < 1e-12)
 
@@ -360,8 +363,11 @@ def test_cycles_equal_the_refine_all_search(osc, mild, r_max):
 
 
 def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
-    # one refinement for each of the 7 orbits listed, and one for the
-    # bracket at 1 when r = 1; without walking each new cycle before the
+    # one refinement for each of the 6 orbits listed besides the fixed
+    # point 1, which is checked before the scan and never bracketed, and
+    # one at r = 6 for a bracket whose known state, walked along a
+    # chaotic orbit, sits 6e-9 off the root, outside the skip test's
+    # 1e-6 of the bracket; without walking each new cycle before the
     # scan's other brackets are refined, its other states cost 21 more
     calls = []
     real = numerics.bracketed_root
@@ -373,4 +379,4 @@ def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
     monkeypatch.setattr(numerics, "bracketed_root", counted)
     cycles = find_geometric_cycles(ricker_system(3.0), 6)
     assert len(cycles) == 7
-    assert len(calls) == 8
+    assert len(calls) == 7
