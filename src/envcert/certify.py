@@ -70,7 +70,7 @@ class SchwarzianReport:
 
 
 def schwarzian(model: PopulationModel, x: float) -> float:
-    """f'''/f' - 1.5 (f''/f')^2 at a point, from closed-form derivatives."""
+    """f'''/f' - 1.5 (f''/f')^2 at a point, from the map's Taylor derivatives."""
     if not model.smooth:
         raise ValueError(f"Schwarzian unavailable: {model.label} is not C^3")
     d1 = model.deriv(x, 1)
@@ -342,8 +342,7 @@ def axiom_gate(
             rep = first
             if cfg_d.exclusion_radius != first.delta_used:
                 rep = replace(check_axioms_callable(fn, hi, cfg_d, first.label),
-                              tail_ok=first.tail_ok, is_c1=first.is_c1,
-                              monotone_rise_bound=first.monotone_rise_bound)
+                              tail_ok=first.tail_ok, is_c1=first.is_c1)
             return rep, rep.passed, rep.definite_violation, rep.unresolved
 
         return tangency_ladder(check, cfg)[0]

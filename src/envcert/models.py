@@ -8,13 +8,14 @@ stays above the diagonal on (0, 1), below it past 1, and positive past 1.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots
+from .numerics import GridConfig, SignReport, adaptive_sign_check
 
 __all__ = [
     "FAMILIES",
@@ -57,11 +58,13 @@ class Interval:
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """One map of a periodic system, with closed-form derivatives.
+    """One map of a periodic system, compiled from one formula per piece.
 
     The callables are vectorized over numpy arrays and evaluate the raw
-    formula without domain checks; eval/deriv are the checked scalar
-    entry points.
+    formula and its Taylor derivatives without domain checks; eval/deriv
+    are the checked scalar entry points.  _natural_hi is the point where
+    the family's map falls back to zero, or None for a map defined on all
+    of [0, inf).
     """
 
     family: str
@@ -71,6 +74,7 @@ class PopulationModel:
     smooth: bool = True
     _eval: Callable = field(default=None, repr=False, compare=False)
     _derivs: tuple = field(default=None, repr=False, compare=False)
+    _natural_hi: float | None = field(default=None, repr=False, compare=False)
 
     @property
     def params(self) -> dict:
@@ -123,55 +127,6 @@ class PopulationModel:
         return self._derivs[order - 1](np.asarray(x, dtype=float))
 
 
-def _const_like(value: float) -> Callable:
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(x, dtype=float), value)
-
-    return fn
-
-
-def _powterm(coef: float, expo: float, x: np.ndarray) -> np.ndarray:
-    # 0 * x**negative would give nan; short-circuit the zero coefficient.
-    if coef == 0.0:
-        return np.zeros_like(x)
-    with np.errstate(all="ignore"):
-        return coef * np.power(x, expo)
-
-
-def _rational_derivs(
-    num: Callable, num_d: Sequence[Callable], den: Callable, den_d: Sequence[Callable]
-) -> tuple:
-    """Derivatives of N/D up to order 3 by Leibniz inversion of B*D = N."""
-
-    def b0(x):
-        return num(x) / den(x)
-
-    def b1(x):
-        d = den(x)
-        b = b0(x)
-        dd = den_d[0](x)
-        # where the value is 0 the diverging D' term has limit 0, not nan
-        # (fractional exponents put D'(0) at infinity while N(0) = 0)
-        with np.errstate(invalid="ignore"):
-            prod = np.where((b == 0.0) & ~np.isfinite(dd), 0.0, b * dd)
-        return (num_d[0](x) - prod) / d
-
-    def b2(x):
-        d = den(x)
-        return (num_d[1](x) - 2 * b1(x) * den_d[0](x) - b0(x) * den_d[1](x)) / d
-
-    def b3(x):
-        d = den(x)
-        return (
-            num_d[2](x)
-            - 3 * b2(x) * den_d[0](x)
-            - 3 * b1(x) * den_d[1](x)
-            - b0(x) * den_d[2](x)
-        ) / d
-
-    return b0, (b1, b2, b3)
-
-
 def _number(value, what: str, allow_inf: bool = False) -> float:
     """value as a float.  It must be an int or a float, not a bool or a
     string, and finite, though an infinity passes when allow_inf."""
@@ -195,71 +150,39 @@ def _require_params(family: str, params, names: set[str]) -> dict:
     return {k: _number(params[k], f"{family} parameter {k}") for k in names}
 
 
+# Each builder checks its parameters and returns the family's map as
+# pieces (start, formula in x and the parameter names) and the natural
+# right endpoint of its domain, or None for a family defined on all of
+# [0, inf).  A formula's order of operations fixes its values to the last
+# bit, which every sign check and report reads; tests pin them.
+
 def _build_ricker(p: dict):
-    r = p["r"]
-    if r <= 0:
-        raise ValueError(f"r must be positive (got {r:g})")
-
-    def ex(x):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(r * (1.0 - x))
-
-    ev = lambda x: x * ex(x)
-    d1 = lambda x: ex(x) * (1.0 - r * x)
-    d2 = lambda x: r * ex(x) * (r * x - 2.0)
-    d3 = lambda x: r * r * ex(x) * (3.0 - r * x)
-    return ev, (d1, d2, d3), (), True, None
+    if p["r"] <= 0:
+        raise ValueError(f"r must be positive (got {p['r']:g})")
+    return [(0.0, "x*exp(r*(1 - x))")], None
 
 
 def _build_beverton_holt(p: dict):
-    mu, c = p["mu"], p["c"]
-    if mu <= 1:
-        raise ValueError(f"mu must exceed 1 (got {mu:g})")
-    if c <= 0:
-        raise ValueError(f"c must be positive (got {c:g})")
-    k = mu - 1.0
-
-    den = lambda x: 1.0 + _powterm(k, c, x)
-    den_d = (
-        lambda x: _powterm(k * c, c - 1, x),
-        lambda x: _powterm(k * c * (c - 1), c - 2, x),
-        lambda x: _powterm(k * c * (c - 1) * (c - 2), c - 3, x),
-    )
-    num = lambda x: mu * x
-    num_d = (_const_like(mu), _const_like(0.0), _const_like(0.0))
-    ev, ds = _rational_derivs(num, num_d, den, den_d)
-    return ev, ds, (), True, None
+    if p["mu"] <= 1:
+        raise ValueError(f"mu must exceed 1 (got {p['mu']:g})")
+    if p["c"] <= 0:
+        raise ValueError(f"c must be positive (got {p['c']:g})")
+    return [(0.0, "mu*x/(1 + (mu - 1)*x**c)")], None
 
 
 def _build_quadratic(p: dict):
     mu = p["mu"]
     if mu <= 0:
         raise ValueError(f"mu must be positive (got {mu:g})")
-    ev = lambda x: x * (1.0 + mu * (1.0 - x))
-    d1 = lambda x: (1.0 + mu) - 2.0 * mu * x
-    d2 = _const_like(-2.0 * mu)
-    d3 = _const_like(0.0)
-    return ev, (d1, d2, d3), (), True, 1.0 + 1.0 / mu
+    return [(0.0, "x*(1 + mu*(1 - x))")], 1.0 + 1.0 / mu
 
 
 def _build_exponential_rational(p: dict):
-    a, b = p["a"], p["b"]
-    if a <= 0:
-        raise ValueError(f"a must be positive (got {a:g})")
-    if b <= 0:
-        raise ValueError(f"b must be positive (got {b:g})")
-    top = 1.0 + a * np.exp(b)
-
-    def eb(x):
-        with np.errstate(over="ignore", under="ignore"):
-            return a * np.exp(b * x)
-
-    den = lambda x: 1.0 + eb(x)
-    den_d = (lambda x: b * eb(x), lambda x: b * b * eb(x), lambda x: b ** 3 * eb(x))
-    num = lambda x: top * x
-    num_d = (_const_like(top), _const_like(0.0), _const_like(0.0))
-    ev, ds = _rational_derivs(num, num_d, den, den_d)
-    return ev, ds, (), True, None
+    if p["a"] <= 0:
+        raise ValueError(f"a must be positive (got {p['a']:g})")
+    if p["b"] <= 0:
+        raise ValueError(f"b must be positive (got {p['b']:g})")
+    return [(0.0, "(1 + a*exp(b))*x/(1 + a*exp(b*x))")], None
 
 
 def _build_beverton_holt_harvest(p: dict):
@@ -268,35 +191,23 @@ def _build_beverton_holt_harvest(p: dict):
         raise ValueError(f"r must exceed 1 (got {r:g})")
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1) (got {c:g})")
-    k = r - 1.0
-
-    def u(x):
-        return 1.0 + k * x
-
-    ev = lambda x: r * x / u(x) - c * x * (x - 1.0)
-    d1 = lambda x: r / u(x) ** 2 - c * (2.0 * x - 1.0)
-    d2 = lambda x: -2.0 * r * k / u(x) ** 3 - 2.0 * c
-    d3 = lambda x: 6.0 * r * k * k / u(x) ** 4
     # Positive root of c(r-1)x^2 + c(2-r)x - (c+r) = 0: the right domain
     # endpoint, where the harvested map returns to zero.
     sc = np.sqrt(c)
-    hi = ((r - 2.0) * sc + np.sqrt(r * (r * (4.0 + c) - 4.0))) / (2.0 * k * sc)
-    return ev, (d1, d2, d3), (), True, float(hi)
+    hi = ((r - 2.0) * sc + np.sqrt(r * (r * (4.0 + c) - 4.0))) / (2.0 * (r - 1.0) * sc)
+    return [(0.0, "r*x/(1 + (r - 1)*x) - c*x*(x - 1)")], float(hi)
 
 
 def _build_piecewise_linear_recip(p: dict):
-    s, brk = p["slope"], p["brk"]
-    if s <= 1:
-        raise ValueError(f"slope must exceed 1 (got {s:g})")
-    if not 0 < brk < 1:
-        raise ValueError(f"brk must lie in (0, 1) (got {brk:g})")
-    m = (1.0 - s * brk) / (1.0 - brk)
-    starts = (0.0, float(brk), 1.0)
-    ev = _piecewise(starts, (lambda t: s * t, lambda t: 1.0 + m * (t - 1.0), lambda t: 1.0 / t))
-    d1 = _piecewise(starts, (lambda t: np.full_like(t, s), lambda t: np.full_like(t, m), lambda t: -1.0 / t ** 2))
-    d2 = _piecewise(starts, (np.zeros_like, np.zeros_like, lambda t: 2.0 / t ** 3))
-    d3 = _piecewise(starts, (np.zeros_like, np.zeros_like, lambda t: -6.0 / t ** 4))
-    return ev, (d1, d2, d3), starts[1:], False, None
+    if p["slope"] <= 1:
+        raise ValueError(f"slope must exceed 1 (got {p['slope']:g})")
+    if not 0 < p["brk"] < 1:
+        raise ValueError(f"brk must lie in (0, 1) (got {p['brk']:g})")
+    return [
+        (0.0, "slope*x"),
+        (p["brk"], "1 + (1 - slope*brk)/(1 - brk)*(x - 1)"),
+        (1.0, "1/x"),
+    ], None
 
 
 def _piecewise(starts: Sequence[float], funcs: Sequence[Callable]) -> Callable:
@@ -319,9 +230,10 @@ def _piecewise(starts: Sequence[float], funcs: Sequence[Callable]) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Custom expressions: a whitelisted subset of Python expression syntax.
-# The value runs as compiled bytecode over numpy; derivatives come from
-# truncated Taylor arithmetic on the same tree.  A series is the list
+# Expressions: a whitelisted subset of Python expression syntax, for
+# custom pieces and for the formulas of the built-in families.  The value
+# runs as compiled bytecode over numpy; derivatives come from truncated
+# Taylor arithmetic on the same tree.  A series is the list
 # [f, f', f''/2, f'''/6] cut after at most n terms; a shorter list ends in
 # zeros, and a list of one term is a constant.
 
@@ -331,8 +243,8 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _GRAMMAR = "numbers, x, E, e, pi, + - * / **, exp, log, sqrt, Abs"
 
 
-def _check_expression(expr_str: str) -> tuple[ast.Expression, dict]:
-    """Parse and whitelist an expression.
+def _check_expression(expr_str: str, names: tuple[str, ...] = ()) -> tuple[ast.Expression, dict]:
+    """Parse and whitelist an expression in x and the parameter names.
 
     Returns the checked tree, in which every number is a name bound to a
     float64 in the returned namespace (so arithmetic on constants follows
@@ -353,7 +265,7 @@ def _check_expression(expr_str: str) -> tuple[ast.Expression, dict]:
                 raise fail(exc) from exc
             return ast.Name(name, ast.Load())
         if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
-            if node.id != "x" and node.id not in _CONSTANTS:
+            if node.id != "x" and node.id not in _CONSTANTS and node.id not in names:
                 unknown.add(node.id)
             return node
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
@@ -406,7 +318,13 @@ def _div(a: list, b: list, n: int) -> list:
     for m in range(n):
         t = a[m] if m < len(a) else 0.0
         for j in range(1, min(m, len(b) - 1) + 1):
-            t = t - b[j] * out[m - j]
+            bq = b[j] * out[m - j]
+            if m == 1:
+                # where the quotient is 0, a diverging b' has limit 0 in
+                # b'q, not nan: a fractional power puts b'(0) at infinity
+                # while the numerator vanishes (3*x/(1 + 2*x**0.5) at 0)
+                bq = np.where((out[0] == 0.0) & ~np.isfinite(b[1]), 0.0, bq)
+            t = t - bq
         out.append(t / b[0])
     return out
 
@@ -484,18 +402,13 @@ def _taylor(node: ast.AST, x: np.ndarray, n: int, namespace: dict) -> list:
     return _call("exp", _mul(b, _call("log", a, n), n), n)
 
 
-def compile_expression(expr_str: str):
-    """Compile a one-variable expression string to vectorized callables.
+def _compiler(expr_str: str, names: tuple[str, ...] = ()) -> Callable:
+    """Parse and check an expression in x and the parameter names once.
 
-    Returns (eval, (d1, d2, d3)) where each callable maps arrays to
-    arrays.  The expression may use numbers, the variable x, the
-    constants E (or e) and pi, unary + and -, binary + - * / **, and
-    one-argument calls to exp, log, sqrt and Abs; anything else raises
-    ValueError.  Derivative k evaluates k + 1 Taylor coefficients, so d1
-    never pays for d2 or d3.  Abs has no second derivative: d2 and d3 of
-    an expression with Abs of x raise ValueError naming the order.
+    Returns bind(values), which gives the (eval, (d1, d2, d3)) of
+    compile_expression with each name bound to its value.
     """
-    tree, namespace = _check_expression(expr_str)
+    tree, constants = _check_expression(expr_str, names)
     code = compile(tree, "<expression>", "eval")
 
     def vec(fn):
@@ -515,28 +428,54 @@ def compile_expression(expr_str: str):
         for node in ast.walk(tree)
     )
 
-    def derivative(k: int):
-        if k > 1 and kinked:
-            def refuse(x):
-                raise ValueError(
-                    f"cannot compile derivative of order {k} of expression "
-                    f"{expr_str!r}: Abs has no derivative of order 2"
-                )
+    def bind(values: Mapping) -> tuple:
+        namespace = {**constants, **{k: np.float64(v) for k, v in values.items()}}
 
-            return refuse
-        scale = float(math.factorial(k))
+        def derivative(k: int):
+            if k > 1 and kinked:
+                def refuse(x):
+                    raise ValueError(
+                        f"cannot compile derivative of order {k} of expression "
+                        f"{expr_str!r}: Abs has no derivative of order 2"
+                    )
 
-        def deriv(x):
-            s = _taylor(tree.body, x, k + 1, namespace)
-            return scale * s[k] if len(s) > k else 0.0
+                return refuse
+            scale = float(math.factorial(k))
 
-        return deriv
+            def deriv(x):
+                s = _taylor(tree.body, x, k + 1, namespace)
+                return scale * s[k] if len(s) > k else 0.0
 
-    value = vec(lambda x: eval(code, namespace, {"x": x}))
-    return value, tuple(vec(derivative(k)) for k in (1, 2, 3))
+            return deriv
+
+        value = vec(lambda x: eval(code, namespace, {"x": x}))
+        return value, tuple(vec(derivative(k)) for k in (1, 2, 3))
+
+    return bind
 
 
-def _build_custom(pieces: Sequence) -> tuple:
+# The built-in families' formulas are constants, so each is parsed once
+# per process and every model of the family binds its own parameters.
+_family_compiler = functools.cache(_compiler)
+
+
+def compile_expression(expr_str: str):
+    """Compile a one-variable expression string to vectorized callables.
+
+    Returns (eval, (d1, d2, d3)) where each callable maps arrays to
+    arrays.  The expression may use numbers, the variable x, the
+    constants E (or e) and pi, unary + and -, binary + - * / **, and
+    one-argument calls to exp, log, sqrt and Abs; anything else raises
+    ValueError.  Derivative k evaluates k + 1 Taylor coefficients, so d1
+    never pays for d2 or d3.  Abs has no second derivative: d2 and d3 of
+    an expression with Abs of x raise ValueError naming the order.
+    """
+    return _compiler(expr_str)({})
+
+
+def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
+    """(eval, derivs, breakpoints, smooth) of a map given as pieces (start,
+    expression); params, when given, binds the names of a family formula."""
     if not isinstance(pieces, (list, tuple)):
         raise ValueError(f"pieces must be a list (got {pieces!r})")
     if not pieces:
@@ -557,11 +496,16 @@ def _build_custom(pieces: Sequence) -> tuple:
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("piece starts must be strictly increasing")
 
-    compiled = [compile_expression(expr) for _, expr in parsed]
-    ev = _piecewise(starts, [value for value, _ in compiled])
-    ds = tuple(_piecewise(starts, [derivs[k] for _, derivs in compiled]) for k in range(3))
-    breakpoints = tuple(starts[1:])
-    smooth = len(parsed) == 1
+    if params is None:
+        compiled = [compile_expression(expr) for _, expr in parsed]
+    else:
+        names = tuple(sorted(params))
+        compiled = [_family_compiler(expr, names)(params) for _, expr in parsed]
+    if len(compiled) == 1:
+        ev, ds = compiled[0]
+    else:
+        ev = _piecewise(starts, [value for value, _ in compiled])
+        ds = tuple(_piecewise(starts, [derivs[k] for _, derivs in compiled]) for k in range(3))
     r0 = abs(float(ev(np.asarray([0.0]))[0]))
     r1 = abs(float(ev(np.asarray([1.0]))[0]) - 1.0)
     if r0 > 1e-12 or r1 > 1e-12:
@@ -569,7 +513,7 @@ def _build_custom(pieces: Sequence) -> tuple:
             f"custom model must satisfy f(0)=0 and f(1)=1 "
             f"(residuals {r0:.2e}, {r1:.2e})"
         )
-    return ev, ds, breakpoints, smooth, None
+    return ev, ds, tuple(starts[1:]), len(parsed) == 1
 
 
 _BUILDERS = {
@@ -580,9 +524,6 @@ _BUILDERS = {
     "beverton-holt-harvest": (_build_beverton_holt_harvest, {"r", "c"}),
     "piecewise-linear-recip": (_build_piecewise_linear_recip, {"slope", "brk"}),
 }
-
-# Families whose natural domain is unbounded get the large-x tail check.
-_UNBOUNDED = {"ricker", "beverton-holt", "exponential-rational", "piecewise-linear-recip", "custom"}
 
 
 def make_model(
@@ -599,7 +540,8 @@ def make_model(
     if family == "custom":
         if params:
             raise ValueError("custom models take pieces, not params")
-        ev, ds, breakpoints, smooth, natural_hi = _build_custom(pieces or ())
+        ev, ds, breakpoints, smooth = _build_custom(pieces or ())
+        natural_hi = None
         items = (("pieces", tuple((float(s), str(e)) for s, e in
                                   ((p["from"], p["expr"]) if isinstance(p, Mapping) else p
                                    for p in pieces))),)
@@ -608,7 +550,8 @@ def make_model(
             raise ValueError(f"{family} takes params, not pieces")
         builder, names = _BUILDERS[family]
         vals = _require_params(family, params or {}, names)
-        ev, ds, breakpoints, smooth, natural_hi = builder(vals)
+        formula, natural_hi = builder(vals)
+        ev, ds, breakpoints, smooth = _build_custom(formula, vals)
         items = tuple(sorted(vals.items()))
 
     if natural_hi is not None:
@@ -632,6 +575,7 @@ def make_model(
         smooth=smooth,
         _eval=ev,
         _derivs=ds,
+        _natural_hi=natural_hi,
     )
 
 
@@ -647,7 +591,7 @@ class AxiomViolation:
 @dataclass(frozen=True)
 class AxiomReport:
     """The axiom checks of one map or period map at exclusion radius
-    delta_used; the last three fields are set for models only."""
+    delta_used; the last two fields are set for models only."""
 
     label: str
     passed: bool
@@ -660,7 +604,6 @@ class AxiomReport:
     sup_on_unit: float
     delta_used: float
     tail_ok: bool | None = None
-    monotone_rise_bound: float | None = None
     is_c1: bool | None = None
 
     @property
@@ -783,7 +726,7 @@ def verify_population_axioms(
     violations = list(rep.violations)
 
     tail_ok: bool | None = None
-    if model.family in _UNBOUNDED:
+    if model._natural_hi is None:
         tail_ok = True
         for k in range(1, 7):
             pt = hi * 2.0 ** k
@@ -802,11 +745,4 @@ def verify_population_axioms(
                            "not C^1 (breakpoints inside the domain)")
         )
 
-    crit = scan_roots(lambda t: model.deriv_array(t, 1), (1e-9, hi), cfg.seed_cells)
-    return replace(
-        rep,
-        **_outcome(violations),
-        tail_ok=tail_ok,
-        monotone_rise_bound=float(crit[0]) if crit.size else hi,
-        is_c1=model.is_c1,
-    )
+    return replace(rep, **_outcome(violations), tail_ok=tail_ok, is_c1=model.is_c1)

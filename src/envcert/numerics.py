@@ -228,6 +228,11 @@ def adaptive_sign_check(
 _MAX_ITER = 200
 # Bracket width at which bracketed_root stops refining a root.
 _ROOT_TOL = 1e-10
+# How far from a known root s scan_roots probes g, relative to max(1, |s|):
+# just outside the 1e-7 within which periodic calls a root known, so a
+# known state that sits off the true root by less than that still has the
+# root between its probes.
+_KNOWN_PROBE = 1.5e-7
 
 
 def bracketed_root(g: Callable[[float], float], a: float, b: float) -> float:
@@ -286,17 +291,19 @@ def _crossing_at_known(
     known: np.ndarray,
 ) -> np.ndarray:
     """Which sign-change brackets [xs[i], xs[i + 1]], i in crosses, hold
-    exactly one root of the sorted array known, with g just left and
-    right of it signed like g at the bracket's left and right ends."""
+    exactly one root s of the sorted array known, with g at s -/+
+    _KNOWN_PROBE max(1, |s|), clipped to the bracket, signed like g at
+    the bracket's left and right ends."""
     a, b = xs[crosses], xs[crosses + 1]
     first = np.searchsorted(known, a, side="left")
     one = np.searchsorted(known, b, side="right") - first == 1
     at_known = np.zeros(crosses.size, dtype=bool)
     if one.any():
         s = known[first[one]]
-        eps = 1e-6 * (b[one] - a[one])
+        eps = _KNOWN_PROBE * np.maximum(1.0, np.abs(s))
+        probes = np.concatenate([np.maximum(s - eps, a[one]), np.minimum(s + eps, b[one])])
         with np.errstate(all="ignore"):
-            near = np.asarray(g(np.concatenate([s - eps, s + eps])), dtype=float)
+            near = np.asarray(g(probes), dtype=float)
         at_known[one] = (near[:s.size] * vs[crosses[one]] > 0) & (
             near[s.size:] * vs[crosses[one] + 1] > 0
         )
@@ -320,9 +327,9 @@ def scan_roots(
 
     known holds roots of g the caller already has.  A bracket [a, b]
     that holds exactly one known root s is not refined, and gives no
-    root, when g at s -/+ 1e-6 (b - a) has the signs of g(a) and g(b):
-    the sign change is then the one across s.  Any other bracket may
-    hold a further root and is refined.
+    root, when g at s -/+ 1.5e-7 max(1, |s|), clipped to [a, b], has the
+    signs of g(a) and g(b): the sign change is then the one across s.
+    Any other bracket may hold a further root and is refined.
 
     Roots are found in ascending order.  visit, if given, is called with
     each root as soon as it is found, before any bracket above it is
@@ -375,21 +382,12 @@ def scan_roots(
 _FD_STEP = {1: 1e-5, 2: 1e-3, 3: 7e-3}
 
 
-def fd_derivative(
-    g: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    h: float | None = None,
-) -> float:
+def fd_derivative(g: Callable[[float], float], x: float, order: int = 1) -> float:
     """Finite-difference derivative of g at x, orders 1 through 3."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     x = float(x)
-    if h is None:
-        h = _FD_STEP[order] * max(1.0, abs(x))
-    h = float(h)
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = _FD_STEP[order] * max(1.0, abs(x))
 
     def gv(t: float) -> float:
         return float(g(t))

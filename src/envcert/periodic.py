@@ -29,11 +29,6 @@ __all__ = [
     "find_geometric_cycles",
 ]
 
-# Families whose maps fall back to zero at a finite endpoint; their
-# working interval is capped by the smallest one-step image maximum.
-_IMAGE_CAPPED = {"quadratic", "beverton-holt-harvest"}
-
-
 @dataclass(frozen=True)
 class PeriodicSystem:
     maps: tuple[PopulationModel, ...]
@@ -85,7 +80,9 @@ def make_system(models: Sequence[PopulationModel]) -> PeriodicSystem:
             )
 
     m0 = min(f.domain.hi for f in maps)
-    if any(f.family in _IMAGE_CAPPED for f in maps):
+    # a map that falls back to zero at a natural endpoint caps the
+    # working interval by the smallest one-step image maximum
+    if any(f._natural_hi is not None for f in maps):
         image_cap = min(grid_max(f.eval_array, 0.0, m0)[1] for f in maps)
         m0 = min(m0, image_cap)
     if m0 < 1.0 - 1e-9:

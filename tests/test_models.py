@@ -131,6 +131,64 @@ def test_bh_fractional_exponent_derivative_at_origin():
     assert f.deriv(0.0, 1) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("expr, slope", [
+    ("3.0*x/(1 + 2.0*x**0.5)", 3.0),
+    ("2*x/(1 + sqrt(x))", 2.0),
+])
+def test_custom_quotient_derivative_at_fractional_power_zero(expr, slope):
+    # the denominator's derivative is infinite at 0 where the quotient is
+    # 0; their product has the limit 0, so f'(0) is the limit, not nan
+    assert make_model("custom", pieces=[(0.0, expr)]).deriv(0.0, 1) == slope
+
+
+# Each family's closed form in plain numpy, in the operation order of its
+# formula: the compiled maps must agree bit for bit, since every sign
+# check and report reads these values.
+_CLOSED_FORMS = [
+    ("ricker", {"r": 1.8}, lambda x, r: x * np.exp(r * (1.0 - x))),
+    ("ricker", {"r": 3.1}, lambda x, r: x * np.exp(r * (1.0 - x))),
+    ("beverton-holt", {"mu": 7.0, "c": 2.3},
+     lambda x, mu, c: mu * x / (1.0 + (mu - 1.0) * np.power(x, c))),
+    ("beverton-holt", {"mu": 4.0, "c": 0.5},
+     lambda x, mu, c: mu * x / (1.0 + (mu - 1.0) * np.power(x, c))),
+    ("quadratic", {"mu": 2.0}, lambda x, mu: x * (1.0 + mu * (1.0 - x))),
+    ("exponential-rational", {"a": 0.32, "b": 2.48},
+     lambda x, a, b: (1.0 + a * np.exp(b)) * x / (1.0 + a * np.exp(b * x))),
+    ("beverton-holt-harvest", {"r": 3.0, "c": 0.3},
+     lambda x, r, c: r * x / (1.0 + (r - 1.0) * x) - c * x * (x - 1.0)),
+    ("piecewise-linear-recip", {"slope": 4.0, "brk": 0.6},
+     lambda x, slope, brk: np.where(
+         x < brk, slope * x,
+         np.where(x < 1.0, 1.0 + (1.0 - slope * brk) / (1.0 - brk) * (x - 1.0), 1.0 / x))),
+]
+
+
+@pytest.mark.parametrize("family, params, closed_form", _CLOSED_FORMS,
+                         ids=[f"{f}-{i}" for i, (f, _, _) in enumerate(_CLOSED_FORMS)])
+def test_family_values_equal_closed_form_bit_for_bit(family, params, closed_form):
+    f = make_model(family, params)
+    xs = np.concatenate([np.linspace(0.0, f.domain.hi, 4097), [1.0]])
+    assert xs[0] == 0.0 and xs[-2] == f.domain.hi
+    with np.errstate(all="ignore"):
+        want = closed_form(xs, **params)
+    np.testing.assert_array_equal(f.eval_array(xs), want)
+
+
+def test_family_formula_parsed_once(monkeypatch):
+    from envcert import models
+
+    make_model("beverton-holt", {"mu": 3.0, "c": 2.0})
+    parses = []
+    real = models._check_expression
+    monkeypatch.setattr(models, "_check_expression",
+                        lambda *args: parses.append(args) or real(*args))
+    f = make_model("beverton-holt", {"mu": 5.0, "c": 0.7})
+    make_model("custom", pieces=[(0.0, "x*exp(1.3*(1 - x))")])
+    assert [args[0] for args in parses] == ["x*exp(1.3*(1 - x))"]
+    # the cached parse binds each model's own parameters
+    assert f.eval(2.0) == pytest.approx(10.0 / (1.0 + 4.0 * 2.0 ** 0.7), rel=1e-15)
+
+
 def test_ricker_derivative_values():
     f = make_model("ricker", {"r": 2.0})
     # f'(x) = (1 - 2x) e^(2(1-x))

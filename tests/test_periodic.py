@@ -364,11 +364,11 @@ def test_cycles_equal_the_refine_all_search(osc, mild, r_max):
 
 def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
     # one refinement for each of the 6 orbits listed besides the fixed
-    # point 1, which is checked before the scan and never bracketed, and
-    # one at r = 6 for a bracket whose known state, walked along a
-    # chaotic orbit, sits 6e-9 off the root, outside the skip test's
-    # 1e-6 of the bracket; without walking each new cycle before the
-    # scan's other brackets are refined, its other states cost 21 more
+    # point 1, which is checked before the scan and never bracketed; a
+    # known state walked along a chaotic orbit may sit 6e-9 off its root,
+    # inside the skip test's probes, so its bracket is not refined;
+    # without walking each new cycle before the scan's other brackets
+    # are refined, its other states cost 22 more
     calls = []
     real = numerics.bracketed_root
 
@@ -379,4 +379,4 @@ def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
     monkeypatch.setattr(numerics, "bracketed_root", counted)
     cycles = find_geometric_cycles(ricker_system(3.0), 6)
     assert len(cycles) == 7
-    assert len(calls) == 7
+    assert len(calls) == 6
