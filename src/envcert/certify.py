@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -332,28 +332,22 @@ def axiom_gate(
     """Axiom reports of every map and of Phi_p, each on the tangency ladder,
     and the gate's failure: None, "violation" or "unresolved".
 
-    A higher rung re-runs only the sign checks.  The others do not depend
-    on the radius, and any failure of theirs is definite, which stops the
-    ladder at the first rung.
+    Each rung recomputes the whole report.  The tail and C^1 checks do
+    not depend on the radius, and a failure of theirs is definite, so it
+    stops the ladder at the first rung.
     """
 
-    def laddered(first: AxiomReport, fn, hi: float) -> AxiomReport:
+    def laddered(report: Callable[[GridConfig], AxiomReport]) -> AxiomReport:
         def check(cfg_d: GridConfig):
-            rep = first
-            if cfg_d.exclusion_radius != first.delta_used:
-                rep = replace(check_axioms_callable(fn, hi, cfg_d, first.label),
-                              tail_ok=first.tail_ok, is_c1=first.is_c1)
+            rep = report(cfg_d)
             return rep, rep.passed, rep.definite_violation, rep.unresolved
 
         return tangency_ladder(check, cfg)[0]
 
-    maps = tuple(
-        laddered(verify_population_axioms(f, cfg), f.eval_array, f.domain.hi)
-        for f in system.maps
-    )
+    maps = tuple(laddered(lambda c, f=f: verify_population_axioms(f, c)) for f in system.maps)
     phi = lambda t: compose_array(system, t)
     hi = system.working_interval.hi
-    comp = laddered(check_axioms_callable(phi, hi, cfg, "composition"), phi, hi)
+    comp = laddered(lambda c: check_axioms_callable(phi, hi, c, "composition"))
     gate = maps + (comp,)
     failure = (
         "violation" if any(r.definite_violation for r in gate)

@@ -107,15 +107,23 @@ def make_piecewise_bh(c: float) -> Envelope:
 
 
 def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
-    """Envelope from an expression in x; x_h found by scan when not given."""
+    """Envelope from an expression in x; x_h found by scan when not given.
+
+    A given finite x_h must be the first root of h past 1: x_h > 1,
+    |h(x_h)| <= 1e-9, and no sign change of h on (1, x_h (1 - 1e-9)).
+    """
     ev, _ = compile_expression(expr)
     if x_h is None:
         roots = scan_roots(ev, (1.0 + 1e-9, 50.0), 8192)
         x_h = float(roots[0]) if roots.size else np.inf
+    elif np.isfinite(x_h := _number(x_h, "x_h", allow_inf=True)):
+        if not (x_h > 1.0 and abs(ev(np.asarray([x_h]))[0]) <= 1e-9
+                and all(r >= x_h * (1.0 - 1e-9) for r in scan_roots(ev, (1.0, x_h), 8192))):
+            raise ValueError(f"x_h = {x_h:g} is not the first root of h past 1")
     return Envelope(
         kind="custom",
         param=None,
-        x_h=_number(x_h, "x_h", allow_inf=True),
+        x_h=x_h,
         label=f"custom({expr})",
         expr=expr,
         _eval=ev,
@@ -288,21 +296,19 @@ def fit_mobius(
     alpha < alpha2, x < 1/alpha and h_alpha(x) >= h_alpha2(x) > 0, so x
     violates the leg at alpha too.  An unresolved check proves nothing
     of the kind, and the sampled check has no exact order in alpha since
-    its grid moves with 1/alpha.  So a bisection on [0, end_in) finds
-    start_out as if the leg held on a suffix, every alpha in
-    [start_out, end_in) is checked in full, and so is every alpha below
-    start_out, downwards, until one fails with an outside violation;
-    the alphas under that one are infeasible.  Probes are cached, so no
-    alpha is checked twice.
+    its grid moves with 1/alpha.  So one walk goes down from end_in - 1,
+    checks each alpha in full, and stops at the first alpha whose failure
+    is an outside violation; the alphas under it are infeasible.  Probes
+    are cached by (alpha, map), so the bisection and the walk share them.
 
     tested is alpha_cells: each grid alpha is decided by a probe or by
-    one of the two arguments above.  A fit whose window is empty and
-    whose last failing probe is a violation costs at most
-    2*ceil(log2(alpha_cells + 1)) probes.  Run boundaries get one
-    midpoint refinement.  The fit runs on the tangency ladder: an empty
-    fit whose ruling probes stay undecided only near 0 or 1 is redone at
-    the next exclusion radius.  An empty fit with failure "violation" is
-    a definite negative at this resolution.
+    one of the two arguments above.  An empty fit costs at most
+    ceil(log2(alpha_cells + 1)) + 1 probes per map when the walk's first
+    step is a violation.  Run boundaries get one midpoint refinement.
+    The fit runs on the tangency ladder: an empty fit whose ruling probes
+    stay undecided only near 0 or 1 is redone at the next exclusion
+    radius.  An empty fit with failure "violation" is a definite
+    negative at this resolution.
     """
     if alpha_cells < 1:
         raise ValueError("alpha_cells must be at least 1")
@@ -324,63 +330,45 @@ def _fit_on_grid(maps: tuple[PopulationModel, ...], cfg: GridConfig, alpha_cells
     """fit_mobius at one exclusion radius, as a tangency_ladder check."""
     alphas = np.arange(alpha_cells) / alpha_cells
 
-    def verdicts(alpha: float):
-        h = make_mobius(float(alpha))
-        return (envelops(h, f, cfg) for f in maps)
+    @cache
+    def probe(i: int, k: int) -> EnvelopeVerdict:
+        return envelops(make_mobius(float(alphas[i])), maps[k], cfg)
+
+    def first_failing(i: int, inside_only: bool) -> EnvelopeVerdict | None:
+        """The first map's verdict at alphas[i] that fails the inside leg
+        (inside_only) or either leg, None if every map passes."""
+        verdicts = (probe(i, k) for k in range(len(maps)))
+        return next((v for v in verdicts if not (v.inside.ok if inside_only else v.passed)), None)
 
     def feasible_at(alpha: float) -> bool:
-        return all(v.passed for v in verdicts(alpha))
+        h = make_mobius(float(alpha))
+        return all(envelops(h, f, cfg).passed for f in maps)
 
-    @cache
-    def inside_failure(i: int) -> SignReport | None:
-        """The first failing inside check at alphas[i], None if every map passes it."""
-        return next((v.inside for v in verdicts(alphas[i]) if not v.inside.ok), None)
-
-    @cache
-    def failure(i: int) -> EnvelopeVerdict | None:
-        """The first failing verdict at alphas[i], None if every map passes."""
-        return next((v for v in verdicts(alphas[i]) if not v.passed), None)
-
-    end_in = bisect_left(range(alpha_cells), True, key=lambda i: inside_failure(i) is not None)
-    # below end_in the inside leg holds, so failure(i) is the outside leg's
-    start_out = bisect_left(range(end_in), True, key=lambda i: failure(i) is None)
+    end_in = bisect_left(range(alpha_cells), True, key=lambda i: first_failing(i, True) is not None)
     mask = np.zeros(alpha_cells, dtype=bool)
     # the checks that rule grid alphas out: the inside leg at end_in rules
-    # out every larger alpha, each failure below end_in its own alpha, and
-    # the outside violation that ends the walk down every smaller one too
-    ruling = [] if end_in == alpha_cells else [inside_failure(end_in)]
+    # out every larger alpha, each outside failure below end_in its own
+    # alpha, and the outside violation that ends the walk every smaller one
+    ruling = [] if end_in == alpha_cells else [first_failing(end_in, True).inside]
     for i in reversed(range(end_in)):
-        v = failure(i)
+        v = first_failing(i, False)  # below end_in the inside leg holds
         mask[i] = v is None
         if v is not None:
-            ruling.append(v.outside if v.inside.ok else v.inside)
-            if i < start_out and v.outside is not None and v.outside.status == "violation":
+            ruling.append(v.outside)
+            if v.outside.status == "violation":
                 break
 
     runs: list[tuple[float, float]] = []
-    i = 0
-    while i < alpha_cells:
-        if mask[i]:
-            j = i
-            while j + 1 < alpha_cells and mask[j + 1]:
-                j += 1
-            lo, hi = float(alphas[i]), float(alphas[j])
-            if i > 0:
-                mid = 0.5 * (alphas[i - 1] + alphas[i])
-                if feasible_at(mid):
-                    lo = float(mid)
-            if j + 1 < alpha_cells:
-                mid = 0.5 * (alphas[j] + alphas[j + 1])
-                if feasible_at(mid):
-                    hi = float(mid)
-            runs.append((lo, hi))
-            i = j + 1
-        else:
-            i += 1
-    return (
-        tuple(runs),
-        bool(runs),
-        all(r.status == "violation" for r in ruling),
-        tuple(iv for r in ruling for iv in r.unresolved),
-    )
+    # each run of passing grid alphas is [i, j]; its ends move out half a
+    # step where the midpoint to the next grid alpha passes too
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    for i, j in zip(edges[::2], edges[1::2] - 1):
+        lo, hi = float(alphas[i]), float(alphas[j])
+        if i > 0 and feasible_at(mid := 0.5 * (alphas[i - 1] + alphas[i])):
+            lo = float(mid)
+        if j + 1 < alpha_cells and feasible_at(mid := 0.5 * (alphas[j] + alphas[j + 1])):
+            hi = float(mid)
+        runs.append((lo, hi))
+    unresolved = tuple(iv for r in ruling for iv in r.unresolved)
+    return tuple(runs), bool(runs), all(r.status == "violation" for r in ruling), unresolved
 

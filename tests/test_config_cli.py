@@ -133,6 +133,26 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where):
     assert " must be a " in err
 
 
+_RICKER_1_OVER_X = ("models:\n  - {family: ricker, params: {r: 1.8}}\n"
+                    "envelopes:\n  - {kind: custom, expr: 1/x, x_h: %s}\n")
+
+
+def test_custom_envelope_x_h_must_be_its_first_root(tmp_path, capsys):
+    # 1/x does not envelop Ricker r = 1.8 past 1; an x_h of 0.5, below
+    # 1, once made the outside leg vacuous and certified the system
+    cfg = tmp_path / "ricker.yaml"
+    cfg.write_text(_RICKER_1_OVER_X % "0.5")
+    assert run_command(["certify", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: envelopes[0]: x_h = 0.5 is not the first root of h past 1" in err
+    cfg.write_text(_RICKER_1_OVER_X % ".inf")
+    _, check = _report(capsys, "envelope-check", str(cfg))
+    custom = check["candidates"][0]
+    assert (custom["envelope_label"], custom["failure"]) == ("custom(1/x)", "violation")
+    assert custom["verdicts"][0]["outside"]["witness"] == pytest.approx(1.2309, abs=1e-3)
+
+
 def test_config_requires_models():
     with pytest.raises(ValueError, match="root must be a mapping"):
         config_from_dict([1, 2])
@@ -149,11 +169,13 @@ def test_config_envelope_kinds():
         {"kind": "reciprocal"},
         {"kind": "piecewise-bh", "c": 3.0},
         {"kind": "custom", "expr": "2 - x"},
+        {"kind": "custom", "expr": "2 - x", "x_h": 2},
         {"kind": "custom", "expr": "1/x", "x_h": float("inf")},
     ]})
     assert [h.kind for h in cfg.envelopes] == [
-        "mobius", "reciprocal", "piecewise-bh", "custom", "custom"
+        "mobius", "reciprocal", "piecewise-bh", "custom", "custom", "custom"
     ]
+    assert cfg.envelopes[-2].x_h == 2.0
     assert cfg.envelopes[-1].x_h == float("inf")
     with pytest.raises(ValueError, match="unknown envelope kind"):
         config_from_dict({**base, "envelopes": [{"kind": "affine"}]})

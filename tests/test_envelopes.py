@@ -88,6 +88,18 @@ def test_custom_envelope_expression():
     assert structural_check(h).passed
 
 
+@pytest.mark.parametrize("expr, x_h", [
+    ("1/x", 0.5), ("2 - x", 1.0),  # not past 1
+    ("1/x", 2.0), ("2 - x", 1.5),  # not a root
+    ("2 - x", 3.0),  # past the root at 2
+    ("2*(1.5 - x)*(2 - x)", 2.0),  # a root, but not the first one past 1
+])
+def test_custom_envelope_rejects_x_h_off_its_first_root(expr, x_h):
+    with pytest.raises(ValueError, match="is not the first root of h past 1"):
+        make_custom_envelope(expr, x_h)
+    assert make_custom_envelope(expr, math.inf).x_h == math.inf
+
+
 def test_non_involution_candidate_rejected():
     # a humped map is not a decreasing involution
     g = make_custom_envelope("x*exp(2*(1 - x))")
@@ -261,7 +273,8 @@ def _count_envelops(monkeypatch):
     return calls
 
 
-def test_empty_fit_costs_two_bisections(monkeypatch):
+def test_empty_fit_costs_one_bisection(monkeypatch):
+    # the bisection for the inside leg's prefix, then one step of the walk
     cfg = _load_config("bh_counterexample")
     system = config_to_system(cfg)
     calls = _count_envelops(monkeypatch)
@@ -269,7 +282,7 @@ def test_empty_fit_costs_two_bisections(monkeypatch):
     assert rep.empty
     assert rep.failure == "violation"
     assert rep.tested == 1000
-    assert len(calls) <= 2 * math.ceil(math.log2(1000)) * system.period
+    assert len(calls) <= (math.ceil(math.log2(1000 + 1)) + 1) * system.period
 
 
 def test_rescued_fit_probes_only_its_window(monkeypatch):
@@ -284,7 +297,8 @@ def test_rescued_fit_probes_only_its_window(monkeypatch):
     alphas = np.arange(n) / n
     window = int(((alphas >= lo) & (alphas <= hi)).sum())
     assert 0 < window < n // 5
-    assert len(calls) <= 2 * math.ceil(math.log2(n)) + window + 2
+    # the bisection, the window, the violation under it, two midpoints
+    assert len(calls) <= math.ceil(math.log2(n + 1)) + window + 3
 
 
 def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
@@ -304,15 +318,16 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     assert (rep.feasible, rep.alpha_step, rep.tested) == expected
     assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
-    # the window (0.3, 1) is probed once each, plus the bisections and
-    # the one step down from 0.3 to the violation at 0.275
-    assert len(calls) <= 2 * math.ceil(math.log2(40)) + 28 + 2
+    # the walk probes the 27 alphas in (0.3, 1), then 0.3 and the
+    # violation at 0.275, one midpoint refines the run's low end, and the
+    # bisection adds at most its own probes
+    assert len(calls) <= math.ceil(math.log2(40 + 1)) + 27 + 2 + 1
 
 
 def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
     # every alpha envelops this map; the check at alpha = 0.5, the first
-    # probe of the outside bisection, is made to come back unresolved,
-    # which proves nothing about smaller alpha, so they are checked too
+    # probe of the bisection, is made to come back unresolved, which
+    # proves nothing about smaller alpha, so the walk goes on past it
     f = make_model("beverton-holt", {"mu": 3.0, "c": 1.0})
     real = envelopes_mod.envelops
 
@@ -328,6 +343,26 @@ def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
     rep = fit_mobius(system, alpha_cells=40)
     assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
     assert _matches_scan(rep, system, alpha_cells=40)
+
+
+def test_fit_stops_at_the_first_outside_violation(monkeypatch):
+    # every alpha envelops this map; the check at alpha = 0.6 is made to
+    # fail with an outside violation, whose witness refutes every smaller
+    # alpha, so the walk down stops there
+    f = make_model("beverton-holt", {"mu": 3.0, "c": 1.0})
+    real = envelopes_mod.envelops
+
+    def violation_at(h, model, cfg=None):
+        v = real(h, model, cfg)
+        if h.param != 0.6:
+            return v
+        out = replace(v.outside, status="violation", witness=1.5, witness_value=-0.1)
+        return replace(v, passed=False, outside=out)
+
+    monkeypatch.setattr(envelopes_mod, "envelops", violation_at)
+    rep = fit_mobius(make_system([f]), alpha_cells=40)
+    assert rep.feasible == ((0.6125, 0.975),)
+    assert (rep.delta_used, rep.failure) == (1e-4, None)
 
 
 def test_fit_rejects_empty_grid():
