@@ -33,7 +33,9 @@ from .models import (
     verify_population_axioms,
 )
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
-from .periodic import PeriodicSystem, compose_array, composition_derivative, phase_cycles
+from .periodic import (
+    PeriodicSystem, compose_array, composition_derivative, cycle_grid, phase_cycles,
+)
 from .report import plain
 
 __all__ = [
@@ -198,8 +200,10 @@ def two_cycle_oracle(system: PeriodicSystem, cfg: GridConfig | None = None) -> O
 
     # the fixed points and two-cycles of Phi from phase 0, found by the
     # same search as the cycles command lists them
-    ones = phase_cycles(system, 1, 0, (), cfg)
-    twos = phase_cycles(system, 2, 0, [c.points[0] for c in ones], cfg)
+    once = compose_array(system, cycle_grid(system, cfg), p)
+    twice = compose_array(system, once, p)
+    ones = phase_cycles(system, 1, 0, (), cfg, once)
+    twos = phase_cycles(system, 2, 0, [c.points[0] for c in ones], cfg, twice)
     extra = tuple(c.points[0] for c in ones if c.points != (1.0,))
     pairs = sorted(tuple(sorted(c.points)) for c in twos)
 

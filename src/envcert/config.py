@@ -95,7 +95,7 @@ def _build_envelope(entry: Any, where: str) -> Envelope:
         if kind == "custom":
             if "expr" not in entry:
                 raise ValueError("custom envelope needs 'expr'")
-            return make_custom_envelope(str(entry["expr"]), entry.get("x_h"))
+            return make_custom_envelope(entry["expr"], entry.get("x_h"))
         raise ValueError(
             f"unknown envelope kind {kind!r}; choose mobius, reciprocal, "
             "piecewise-bh, or custom"

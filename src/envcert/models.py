@@ -470,6 +470,8 @@ def compile_expression(expr_str: str):
     never pays for d2 or d3.  Abs has no second derivative: d2 and d3 of
     an expression with Abs of x raise ValueError naming the order.
     """
+    if not isinstance(expr_str, str):
+        raise ValueError(f"expr must be a string (got {expr_str!r})")
     return _compiler(expr_str)({})
 
 
@@ -489,7 +491,7 @@ def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
             start, expr = item
         if start is None or expr is None:
             raise ValueError("each piece needs 'from' and 'expr'")
-        parsed.append((_number(start, "piece 'from'"), str(expr)))
+        parsed.append((_number(start, "piece 'from'"), expr))
     starts = [s for s, _ in parsed]
     if starts[0] != 0.0:
         raise ValueError("first piece must start at 0.0")

@@ -18,6 +18,7 @@ __all__ = [
     "SignReport",
     "adaptive_sign_check",
     "bracketed_root",
+    "scan_grid",
     "scan_roots",
     "fd_derivative",
     "grid_max",
@@ -51,6 +52,9 @@ class GridConfig:
                 raise ValueError(f"{name} must be an integer (got {v!r})")
         if self.seed_cells < 1:
             raise ValueError("seed_cells must be at least 1")
+        # structural_check samples 4 seed_cells + 1 points; keep them to tens of MB
+        if self.seed_cells > 2**20:
+            raise ValueError(f"seed_cells must be at most {2**20} (got {self.seed_cells})")
         if not 0 <= self.max_refinement_depth <= 30:
             raise ValueError("max_refinement_depth must lie in [0, 30]")
         # written so that NaN fails too: every comparison with it is False
@@ -171,20 +175,23 @@ def adaptive_sign_check(
         witness = None
         for s in range(0, n, _BLOCK_CELLS):
             b_lo, b_hi = cell_lo[s:s + _BLOCK_CELLS], cell_hi[s:s + _BLOCK_CELLS]
-            xs = b_lo[:, None] + (b_hi - b_lo)[:, None] * _OFFSETS[None, :]
+            # offset-major: row j holds every cell's j-th sample, so each
+            # reduction over a cell's five samples runs along whole rows
+            xs = b_lo + (b_hi - b_lo) * _OFFSETS[:, None]
             with np.errstate(all="ignore"):
-                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(-1, 5)
-            finite = np.isfinite(vals)
-            if finite.any():
-                min_abs = min(min_abs, float(np.abs(vals[finite]).min()))
-            bad = finite & (vals < -cfg.abs_tol)
-            if bad.any():
+                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(5, -1)
+            # |+-inf| never lowers min_abs below a finite sample, and a
+            # block of NaN gives NaN, which min() passes over
+            min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), axis=None)))
+            # -inf is vacuous like +inf; its mask is built only on a failure
+            bad = vals < -cfg.abs_tol
+            if bad.any() and (bad := bad & np.isfinite(vals)).any():
                 # the leftmost offending sample; on a tie the earlier block's
                 k = int(np.argmin(xs[bad]))
                 if witness is None or xs[bad][k] < witness[0]:
                     witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
             # +inf satisfies the claim (masked/vacuous samples); NaN does not.
-            keep[s:s + _BLOCK_CELLS] = ~(vals > cfg.abs_tol).all(axis=1)
+            keep[s:s + _BLOCK_CELLS] = ~np.logical_and.reduce(vals > cfg.abs_tol, axis=0)
         if witness is not None:
             return SignReport(
                 status="violation",
@@ -310,20 +317,30 @@ def _crossing_at_known(
     return at_known
 
 
+def scan_grid(interval: tuple[float, float], seed_cells: int = 4096) -> np.ndarray:
+    """The uniform grid scan_roots samples g on."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    return np.linspace(lo, hi, max(seed_cells, 8) + 1)
+
+
 def scan_roots(
     g: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
     seed_cells: int = 4096,
     *,
+    values: np.ndarray | None = None,
     known: Sequence[float] = (),
     visit: Callable[[float], Sequence[float]] | None = None,
 ) -> np.ndarray:
     """All sign-change roots of g on an interval, one per bracket.
 
-    Samples a uniform grid, refines each sign-change bracket with
-    bracketed_root, keeps exact zeros at grid points, and merges
-    duplicates.  Roots where g touches zero without changing sign are
-    not detected.
+    Samples g on scan_grid(interval, seed_cells), refines each
+    sign-change bracket with bracketed_root, keeps exact zeros at grid
+    points, and merges duplicates.  Roots where g touches zero without
+    changing sign are not detected.  values, if given, holds g on that
+    grid, so a caller that has them already saves the evaluation.
 
     known holds roots of g the caller already has.  A bracket [a, b]
     that holds exactly one known root s is not refined, and gives no
@@ -337,12 +354,11 @@ def scan_roots(
     other points of a cycle through it); these join known, so the
     brackets still to come that hold one of them alone are skipped.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    xs = np.linspace(lo, hi, max(seed_cells, 8) + 1)
-    with np.errstate(all="ignore"):
-        vs = np.asarray(g(xs), dtype=float)
+    xs = scan_grid(interval, seed_cells)
+    if values is None:
+        with np.errstate(all="ignore"):
+            values = g(xs)
+    vs = np.asarray(values, dtype=float)
     zeros = np.nonzero(vs == 0.0)[0].tolist()
     fin = np.isfinite(vs)
     crosses = np.nonzero(fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0))[0]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import Interval, PopulationModel
-from .numerics import GridConfig, grid_max, scan_roots
+from .numerics import GridConfig, grid_max, scan_grid, scan_roots
 
 __all__ = [
     "PeriodicSystem",
@@ -25,6 +25,7 @@ __all__ = [
     "composition_derivative",
     "iterate_orbit",
     "GeometricCycle",
+    "cycle_grid",
     "phase_cycles",
     "find_geometric_cycles",
 ]
@@ -218,15 +219,22 @@ def _cycle_through(
     )
 
 
+def cycle_grid(system: PeriodicSystem, cfg: GridConfig) -> np.ndarray:
+    """The grid phase_cycles scans Phi^r - id on."""
+    return scan_grid((1e-9, system.working_interval.hi), cfg.seed_cells)
+
+
 def phase_cycles(
     system: PeriodicSystem,
     r: int,
     i: int,
     known: Sequence[float],
     cfg: GridConfig,
+    image: np.ndarray,
 ) -> list[GeometricCycle]:
     """The r-cycles from phase i through roots of Phi^r - id, in the
-    order found, other than those through a state in known.
+    order found, other than those through a state in known.  image is
+    Phi^r from phase i on cycle_grid(system, cfg).
 
     When Phi^r fixes 1, the cycle through 1 comes first and joins known
     before the scan, and any other root within the exclusion radius of 1
@@ -254,7 +262,9 @@ def phase_cycles(
     if anchored:
         visit(1.0)
     g = lambda t: compose_array(system, t, n, i) - t
-    scan_roots(g, (1e-9, system.working_interval.hi), cfg.seed_cells, known=known, visit=visit)
+    xs = cycle_grid(system, cfg)
+    # the grid's ends are its interval, so scan_roots rebuilds this grid
+    scan_roots(g, (xs[0], xs[-1]), cfg.seed_cells, values=image - xs, known=known, visit=visit)
     return found
 
 
@@ -268,20 +278,24 @@ def find_geometric_cycles(
     r*p steps and sampled once per period.  A root within 1e-7 of a state
     that a cycle found before visits at the same phase, with a period
     count dividing r, belongs to an orbit already listed, so each orbit
-    is listed once.
+    is listed once.  Each phase carries Phi^r on the scan grid from
+    Phi^(r-1), one period per step.
     """
     if cfg is None:
         cfg = GridConfig()
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    p = system.period
+    images = [cycle_grid(system, cfg)] * p
     found: list[GeometricCycle] = []
     for r in range(1, r_max + 1):
-        for i in range(system.period):
+        for i in range(p):
+            images[i] = compose_array(system, images[i], p, i)
             # phase-i states of the cycles found so far that Phi^r fixes
             known = [
                 x for c in found if r % c.period_count == 0
                 for ph, x in c.complete if ph == i
             ]
-            found.extend(phase_cycles(system, r, i, known, cfg))
+            found.extend(phase_cycles(system, r, i, known, cfg, images[i]))
     found.sort(key=lambda c: (len(c.points), min(c.points), c.start_phase))
     return tuple(found)

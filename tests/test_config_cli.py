@@ -120,10 +120,18 @@ _RICKER = "models:\n  - {family: ricker, params: {r: 1.0}}\n"
                  "envelopes[0]", id="alpha-string"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: reciprocal}\n  - {kind: mobius, alpha: true}\n",
                  "envelopes[1]", id="alpha-bool"),
+    pytest.param(_RICKER + "envelopes:\n  - {kind: custom, expr: 3}\n",
+                 "envelopes[0]", id="expr-envelope"),
+    pytest.param("models:\n  - family: custom\n    pieces:\n      - {from: 0.0, expr: 5}\n",
+                 "models[0]", id="expr-piece"),
+    pytest.param("models:\n  - family: custom\n    pieces:\n      - [0.0, x*exp(1 - x)]\n"
+                 "      - [2.0, true]\n", "models[0]", id="expr-second-piece"),
 ])
 def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where):
     # each of these once crashed with a TypeError traceback (exit 1, the
-    # code of a definite negative), or coerced a string or bool to a float
+    # code of a definite negative), or coerced a string or bool to a float;
+    # an expr that was a number was read as the constant it spells, so
+    # the envelope "3" ran the whole Moebius fit and exited 0
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert run_command(["certify", str(cfg)]) == 3
@@ -131,6 +139,20 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where):
     assert out == ""
     assert f"error: {where}: " in err
     assert " must be a " in err
+
+
+def test_grid_cells_are_bounded(tmp_path, capsys):
+    # rejected when the grid is built, before any check samples it
+    assert run_command(["certify", "bh_pair", "--grid-cells", str(2**20 + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"seed_cells must be at most {2**20} (got {2**20 + 1})" in err
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(_RICKER + f"grid: {{seed_cells: {2**40}}}\n")
+    assert run_command(["cycles", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: grid: seed_cells must be at most {2**20} (got {2**40})" in err
 
 
 _RICKER_1_OVER_X = ("models:\n  - {family: ricker, params: {r: 1.8}}\n"

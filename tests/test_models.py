@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
-from envcert import FAMILIES, Interval, make_model, verify_population_axioms
+from envcert import FAMILIES, Interval, make_custom_envelope, make_model, verify_population_axioms
 from envcert.cli import run_command
 from envcert.numerics import GridConfig, fd_derivative
 
@@ -254,6 +255,12 @@ def test_custom_piece_validation():
         make_model("custom", pieces=[(0.5, "x")])
     with pytest.raises(ValueError, match="strictly increasing"):
         make_model("custom", pieces=[(0.0, "x"), (0.0, "x")])
+    for expr in (5, 0.5, True, ["x"]):
+        message = re.escape(f"expr must be a string (got {expr!r})")
+        with pytest.raises(ValueError, match=message):
+            make_model("custom", pieces=[(0.0, "x"), (2.0, expr)])
+        with pytest.raises(ValueError, match=message):
+            make_custom_envelope(expr)
 
 
 def test_custom_multi_piece_not_smooth():

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from envcert import numerics
 from envcert.numerics import (
     GridConfig,
+    SignReport,
     _merge_cells,
     adaptive_sign_check,
     bracketed_root,
@@ -22,6 +23,10 @@ from envcert.numerics import (
 def test_grid_config_rejects_bad_values():
     with pytest.raises(ValueError):
         GridConfig(seed_cells=0)
+    assert GridConfig(seed_cells=2**20).seed_cells == 2**20
+    for big in (2**20 + 1, 10**12):
+        with pytest.raises(ValueError, match=r"seed_cells must be at most 1048576"):
+            GridConfig(seed_cells=big)
     with pytest.raises(ValueError):
         GridConfig(abs_tol=-1e-9)
     with pytest.raises(ValueError):
@@ -138,6 +143,101 @@ def test_sign_check_blocks_match_one_block(monkeypatch, g, claim):
     blocked = adaptive_sign_check(g, (0.0, 1.0), claim, cfg)
     monkeypatch.setattr(numerics, "_BLOCK_CELLS", 10**9)
     assert adaptive_sign_check(g, (0.0, 1.0), claim, cfg) == blocked
+
+
+def _sign_check_cells_by_five(g, interval, claim, cfg):
+    """adaptive_sign_check with each block laid out as cells x 5 samples,
+    as it was before the offset-major layout; kept as its reference."""
+    lo, hi = float(interval[0]), float(interval[1])
+    sgn = 1.0 if claim == "positive" else -1.0
+    edges = np.linspace(lo, hi, cfg.seed_cells + 1)
+    cell_lo, cell_hi = edges[:-1], edges[1:]
+    cells_checked, min_abs, unresolved = 0, np.inf, ()
+    for depth in range(cfg.max_refinement_depth + 1):
+        n = cell_lo.size
+        if n == 0:
+            break
+        cells_checked += n
+        keep = np.empty(n, dtype=bool)
+        witness = None
+        for s in range(0, n, numerics._BLOCK_CELLS):
+            b_lo, b_hi = cell_lo[s:s + numerics._BLOCK_CELLS], cell_hi[s:s + numerics._BLOCK_CELLS]
+            xs = b_lo[:, None] + (b_hi - b_lo)[:, None] * numerics._OFFSETS[None, :]
+            with np.errstate(all="ignore"):
+                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(-1, 5)
+            finite = np.isfinite(vals)
+            if finite.any():
+                min_abs = min(min_abs, float(np.abs(vals[finite]).min()))
+            bad = finite & (vals < -cfg.abs_tol)
+            if bad.any():
+                k = int(np.argmin(xs[bad]))
+                if witness is None or xs[bad][k] < witness[0]:
+                    witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
+            keep[s:s + numerics._BLOCK_CELLS] = ~(vals > cfg.abs_tol).all(axis=1)
+        if witness is not None:
+            return SignReport("violation", claim, (lo, hi), cells_checked, min_abs,
+                              witness=witness[0], witness_value=witness[1])
+        if not keep.any():
+            break
+        if depth == cfg.max_refinement_depth or int(keep.sum()) > 2 * cfg.seed_cells:
+            unresolved = _merge_cells(cell_lo[keep], cell_hi[keep])
+            break
+        mid = 0.5 * (cell_lo[keep] + cell_hi[keep])
+        cell_lo = np.concatenate([cell_lo[keep], mid])
+        cell_hi = np.concatenate([mid, cell_hi[keep]])
+        order = np.argsort(cell_lo, kind="stable")
+        cell_lo, cell_hi = cell_lo[order], cell_hi[order]
+    status = "unresolved" if unresolved else f"all_{claim}"
+    return SignReport(status, claim, (lo, hi), cells_checked, min_abs, unresolved=unresolved)
+
+
+def _sign_problem(bend, tilt, shift, centre, nan_band, inf_band, claim):
+    """g = s (bend (x - c)^2 + tilt (x - c) + shift) on [0, 1], with s the
+    claim's sign, NaN on nan_band and +-inf on inf_band (each a
+    (lo, hi, sign) or None).  tilt = shift = 0 is a tangency at c."""
+    s = 1.0 if claim == "positive" else -1.0
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        y = s * (bend * (x - centre) ** 2 + tilt * (x - centre) + shift)
+        if nan_band is not None:
+            y = np.where((nan_band[0] <= x) & (x <= nan_band[1]), np.nan, y)
+        if inf_band is not None:
+            y = np.where((inf_band[0] <= x) & (x <= inf_band[1]), inf_band[2] * np.inf, y)
+        return y
+
+    return g
+
+
+_UNIT = st.floats(0.0, 1.0)
+_BAND = st.one_of(st.none(), st.tuples(_UNIT, st.floats(0.0, 0.2), st.sampled_from([1.0, -1.0]))
+                  .map(lambda t: (t[0], t[0] + t[1], t[2])))
+
+
+@settings(deadline=None, max_examples=60)
+@given(bend=st.sampled_from([0.0, 1.0, 50.0]), tilt=st.sampled_from([0.0, 0.3, -2.0]),
+       shift=st.one_of(st.sampled_from([0.0, 1e-10, -1e-6]), st.floats(-0.5, 0.5)),
+       centre=_UNIT, nan_band=_BAND, inf_band=_BAND,
+       claim=st.sampled_from(["positive", "negative"]),
+       seed_cells=st.sampled_from([1, 7, 300, 2048, 2049, 5000]), depth=st.integers(0, 12))
+@example(bend=0.0, tilt=-1.0, shift=0.9, centre=0.0, nan_band=None, inf_band=None,
+         claim="positive", seed_cells=5000, depth=12)  # a violation in the last block only
+@example(bend=1.0, tilt=0.0, shift=0.0, centre=0.7, nan_band=None, inf_band=None,
+         claim="negative", seed_cells=4096, depth=12)  # refined down to an unresolved tangency
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=(0.2, 0.3, 1.0),
+         inf_band=(0.6, 0.8, -1.0), claim="positive", seed_cells=2049, depth=3)  # NaN and -inf
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=None,
+         inf_band=(0.0, 1.0, 1.0), claim="positive", seed_cells=7, depth=2)  # +inf everywhere
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=(0.0, 1.0, 1.0),
+         inf_band=None, claim="negative", seed_cells=7, depth=2)  # NaN everywhere
+def test_sign_check_matches_the_cells_by_five_layout(
+    bend, tilt, shift, centre, nan_band, inf_band, claim, seed_cells, depth
+):
+    g = _sign_problem(bend, tilt, shift, centre, nan_band, inf_band, claim)
+    cfg = GridConfig(seed_cells=seed_cells, max_refinement_depth=depth)
+    got = adaptive_sign_check(g, (0.0, 1.0), claim, cfg)
+    assert got == _sign_check_cells_by_five(g, (0.0, 1.0), claim, cfg)
+    assert type(got.min_abs_value) is float
 
 
 def test_bracketed_root_sqrt2():

@@ -19,11 +19,12 @@ from envcert import (
     make_model,
     make_system,
 )
-from envcert import numerics
+from envcert import certify, numerics, periodic
+from envcert.certify import two_cycle_oracle
 from envcert.cli import _bundled_names, _load_config, run_command
 from envcert.config import config_to_system
 from envcert.numerics import GridConfig, fd_derivative, scan_roots
-from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period
+from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period, cycle_grid
 
 
 BUNDLED = _bundled_names()
@@ -380,3 +381,55 @@ def test_cycles_refine_one_bracket_per_orbit(monkeypatch):
     cycles = find_geometric_cycles(ricker_system(3.0), 6)
     assert len(cycles) == 7
     assert len(calls) == 6
+
+
+# one system per period p = 1, 2, 3, each with an oscillating map
+_CHAIN_SYSTEMS = {
+    1: ricker_system(3.0),
+    2: make_system([make_model("ricker", {"r": 2.8}),
+                    make_model("beverton-holt", {"mu": 5.0, "c": 3.0})]),
+    3: ricker_system(2.6, 0.8, 3.1),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_CHAIN_SYSTEMS))
+def test_period_map_chain_is_bit_identical(p):
+    system = _CHAIN_SYSTEMS[p]
+    xs = cycle_grid(system, GridConfig())
+    for i in range(p):
+        image = xs
+        for r in range(1, 7):
+            image = compose_array(system, image, p, i)
+            assert np.array_equal(image, compose_array(system, xs, r * p, i), equal_nan=True)
+
+
+def _recompose_from_scratch(monkeypatch, module):
+    """Make module's phase_cycles compose Phi^r from the scan grid in one
+    call, check that the carried image equals it bit for bit, and scan
+    the fresh one."""
+    real = periodic.phase_cycles
+    used = []
+
+    def scratch(system, r, i, known, cfg, image):
+        fresh = compose_array(system, cycle_grid(system, cfg), r * system.period, i)
+        used.append(np.array_equal(image, fresh))
+        return real(system, r, i, known, cfg, fresh)
+
+    monkeypatch.setattr(module, "phase_cycles", scratch)
+    return used
+
+
+@pytest.mark.parametrize("p", sorted(_CHAIN_SYSTEMS))
+def test_carried_images_give_the_cycles_and_oracle_of_a_fresh_composition(monkeypatch, p):
+    system = _CHAIN_SYSTEMS[p]
+    cycles = find_geometric_cycles(system, 6)
+    oracle = two_cycle_oracle(system)
+    assert oracle.verdict == "fails" and cycles
+    with monkeypatch.context() as m:
+        used = _recompose_from_scratch(m, periodic)
+        assert find_geometric_cycles(system, 6) == cycles
+        assert used == [True] * 6 * p
+    with monkeypatch.context() as m:
+        used = _recompose_from_scratch(m, certify)
+        assert two_cycle_oracle(system) == oracle
+        assert used == [True, True]
