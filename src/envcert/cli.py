@@ -15,6 +15,7 @@ import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -76,6 +77,21 @@ def _load_config(name: str) -> SystemConfig:
     )
 
 
+def _int_in(name: str, lo: int, hi: int) -> Callable[[str], int]:
+    """argparse type of an integer flag that must lie in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {lo} (got {n})")
+        if n > hi:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {hi} (got {n})")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once and shared by every call: parse_args leaves the parser
@@ -96,6 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(ENVCERT_OUT_DIR prefixes bare names)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def count(sp: argparse.ArgumentParser, flag: str, default: int, lo: int, hi: int,
+              what: str) -> None:
+        sp.add_argument(flag, type=_int_in(flag[2:].replace("-", "_"), lo, hi),
+                        default=default, help=f"{what}, {lo} to {hi} (default {default})")
+
     common(sub.add_parser("certify", help="run the full certification pipeline"))
     common(sub.add_parser("axioms", help="population-model axioms per map and "
                                          "for the composition"))
@@ -103,20 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "checks for each candidate"))
     sp = sub.add_parser("mobius-fit", help="fit the Moebius alpha parameter on a grid")
     common(sp)
-    sp.add_argument("--alpha-cells", type=int, default=1000)
+    # the upper bounds cap what one run may allocate and compute
+    count(sp, "--alpha-cells", 1000, 1, 100_000, "alpha grid size N (alpha = k/N)")
     sp = sub.add_parser("cycles", help="geometric cycles up to a period count")
     common(sp)
-    sp.add_argument("--r-max", type=int, default=3)
+    count(sp, "--r-max", 3, 1, 16, "largest period count searched")
     sp = sub.add_parser("orbit", help="iterate an initial point")
     common(sp)
     sp.add_argument("--x0", type=float, default=0.5)
-    sp.add_argument("--periods", type=int, default=50)
+    count(sp, "--periods", 50, 1, 100_000, "whole periods iterated")
     common(sub.add_parser("schwarzian", help="negative-Schwarzian test per map"))
     common(sub.add_parser("conditions", help="closed-form parameter regions"))
     sp = sub.add_parser("plot-data", help="tabulate maps, composition, and "
                                           "envelopes for plotting")
     common(sp)
-    sp.add_argument("--samples", type=int, default=512)
+    count(sp, "--samples", 512, 2, 100_000, "grid points tabulated")
     return p
 
 

@@ -212,6 +212,34 @@ class EnvelopeVerdict:
         return out
 
 
+def _inside_leg(h: Envelope, model: PopulationModel, cfg: GridConfig) -> SignReport:
+    """The check of h > f on (delta, 1 - delta)."""
+    delta = cfg.exclusion_radius
+    return adaptive_sign_check(
+        lambda t: h.eval_array(t) - model.eval_array(t),
+        (delta, 1.0 - delta),
+        "positive",
+        cfg,
+    )
+
+
+def _outside_leg(h: Envelope, model: PopulationModel, cfg: GridConfig) -> SignReport | None:
+    """The check of h < f on (1 + delta, min(x_h, domain end)) where both
+    stay positive; None when that span is infinite or shorter than 2 delta."""
+    delta = cfg.exclusion_radius
+    hi_out = min(h.x_h, model.domain.hi)
+    if not (np.isfinite(hi_out) and hi_out > 1.0 + 2 * delta):
+        return None
+
+    def gap(t: np.ndarray) -> np.ndarray:
+        fv = model.eval_array(t)
+        hv = h.eval_array(t)
+        both = (fv > 0) & (hv > 0)
+        return np.where(both, fv - hv, np.inf)
+
+    return adaptive_sign_check(gap, (1.0 + delta, hi_out), "positive", cfg)
+
+
 def envelops(
     h: Envelope, model: PopulationModel, cfg: GridConfig | None = None
 ) -> EnvelopeVerdict:
@@ -222,34 +250,15 @@ def envelops(
     """
     if cfg is None:
         cfg = GridConfig()
-    delta = cfg.exclusion_radius
-
-    inside = adaptive_sign_check(
-        lambda t: h.eval_array(t) - model.eval_array(t),
-        (delta, 1.0 - delta),
-        "positive",
-        cfg,
-    )
-
-    outside = None
-    hi_out = min(h.x_h, model.domain.hi)
-    if np.isfinite(hi_out) and hi_out > 1.0 + 2 * delta:
-        def gap(t: np.ndarray) -> np.ndarray:
-            fv = model.eval_array(t)
-            hv = h.eval_array(t)
-            both = (fv > 0) & (hv > 0)
-            return np.where(both, fv - hv, np.inf)
-
-        outside = adaptive_sign_check(gap, (1.0 + delta, hi_out), "positive", cfg)
-
-    passed = inside.ok and (outside is None or outside.ok)
+    inside = _inside_leg(h, model, cfg)
+    outside = _outside_leg(h, model, cfg)
     return EnvelopeVerdict(
         envelope_label=h.label,
         model_label=model.label,
-        passed=passed,
+        passed=inside.ok and (outside is None or outside.ok),
         inside=inside,
         outside=outside,
-        delta=delta,
+        delta=cfg.exclusion_radius,
     )
 
 
@@ -297,14 +306,17 @@ def fit_mobius(
     violates the leg at alpha too.  An unresolved check proves nothing
     of the kind, and the sampled check has no exact order in alpha since
     its grid moves with 1/alpha.  So one walk goes down from end_in - 1,
-    checks each alpha in full, and stops at the first alpha whose failure
-    is an outside violation; the alphas under it are infeasible.  Probes
-    are cached by (alpha, map), so the bisection and the walk share them.
+    checks only the outside leg (below end_in the inside leg holds), and
+    stops at the first alpha whose outside leg fails with a violation;
+    the alphas under it are infeasible.
 
-    tested is alpha_cells: each grid alpha is decided by a probe or by
-    one of the two arguments above.  An empty fit costs at most
-    ceil(log2(alpha_cells + 1)) + 1 probes per map when the walk's first
-    step is a violation.  Run boundaries get one midpoint refinement.
+    A probe checks one leg of one map at one grid alpha: the bisection
+    probes only inside legs and the walk only outside legs.  tested is
+    alpha_cells: each grid alpha is decided by a probe or by one of the
+    two arguments above.  An empty fit costs at most
+    ceil(log2(alpha_cells + 1)) inside probes per map, plus one outside
+    probe per map when the walk's first step is a violation.  Each run
+    boundary gets one midpoint refinement, a full envelops per map.
     The fit runs on the tangency ladder: an empty fit whose ruling probes
     stay undecided only near 0 or 1 is redone at the next exclusion
     radius.  An empty fit with failure "violation" is a definite
@@ -331,31 +343,33 @@ def _fit_on_grid(maps: tuple[PopulationModel, ...], cfg: GridConfig, alpha_cells
     alphas = np.arange(alpha_cells) / alpha_cells
 
     @cache
-    def probe(i: int, k: int) -> EnvelopeVerdict:
-        return envelops(make_mobius(float(alphas[i])), maps[k], cfg)
+    def probe(leg: Callable, i: int, k: int) -> SignReport | None:
+        return leg(make_mobius(float(alphas[i])), maps[k], cfg)
 
-    def first_failing(i: int, inside_only: bool) -> EnvelopeVerdict | None:
-        """The first map's verdict at alphas[i] that fails the inside leg
-        (inside_only) or either leg, None if every map passes."""
-        verdicts = (probe(i, k) for k in range(len(maps)))
-        return next((v for v in verdicts if not (v.inside.ok if inside_only else v.passed)), None)
+    def first_failing(leg: Callable, i: int) -> SignReport | None:
+        """The first map's failing check of one leg at alphas[i], None if
+        that leg holds (or is vacuous) for every map."""
+        reports = (probe(leg, i, k) for k in range(len(maps)))
+        return next((r for r in reports if r is not None and not r.ok), None)
 
     def feasible_at(alpha: float) -> bool:
         h = make_mobius(float(alpha))
         return all(envelops(h, f, cfg).passed for f in maps)
 
-    end_in = bisect_left(range(alpha_cells), True, key=lambda i: first_failing(i, True) is not None)
+    end_in = bisect_left(
+        range(alpha_cells), True, key=lambda i: first_failing(_inside_leg, i) is not None
+    )
     mask = np.zeros(alpha_cells, dtype=bool)
     # the checks that rule grid alphas out: the inside leg at end_in rules
     # out every larger alpha, each outside failure below end_in its own
     # alpha, and the outside violation that ends the walk every smaller one
-    ruling = [] if end_in == alpha_cells else [first_failing(end_in, True).inside]
+    ruling = [] if end_in == alpha_cells else [first_failing(_inside_leg, end_in)]
     for i in reversed(range(end_in)):
-        v = first_failing(i, False)  # below end_in the inside leg holds
-        mask[i] = v is None
-        if v is not None:
-            ruling.append(v.outside)
-            if v.outside.status == "violation":
+        r = first_failing(_outside_leg, i)  # below end_in the inside leg holds
+        mask[i] = r is None
+        if r is not None:
+            ruling.append(r)
+            if r.status == "violation":
                 break
 
     runs: list[tuple[float, float]] = []

@@ -103,7 +103,7 @@ def emit_plot_data(
     SVG renderer).
     """
     lo, hi = float(interval[0]), float(interval[1])
-    xs = np.linspace(lo, hi, max(samples, 2))
+    xs = np.linspace(lo, hi, samples)
     data: dict[str, np.ndarray] = {}
     failed: list[str] = []
     for name, fn in columns:

@@ -14,7 +14,7 @@ import pytest
 
 from envcert import config_from_dict, config_to_system, parse_system_config, two_cycle_oracle
 from envcert import envelopes as envelopes_mod
-from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, run_command
+from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, build_parser, run_command
 
 BUNDLED = [
     "bh_counterexample",
@@ -444,6 +444,28 @@ def test_mobius_fit_rejects_empty_alpha_grid(cells, capsys):
     assert "alpha_cells must be at least 1" in err
 
 
+# every integer flag is checked while parsing, before any config is read
+_COUNT_FLAGS = [("mobius-fit", "--alpha-cells", 1, 100_000), ("cycles", "--r-max", 1, 16),
+                ("orbit", "--periods", 1, 100_000), ("plot-data", "--samples", 2, 100_000)]
+
+
+@pytest.mark.parametrize("cmd, flag, lo, hi", _COUNT_FLAGS)
+def test_count_flags_take_their_bounds(cmd, flag, lo, hi):
+    dest = flag[2:].replace("-", "_")
+    for n in (lo, hi):
+        assert getattr(build_parser().parse_args([cmd, "ricker_triple", flag, str(n)]), dest) == n
+
+
+@pytest.mark.parametrize("cmd, flag, lo, hi", _COUNT_FLAGS)
+def test_count_flags_out_of_range_exit_3(cmd, flag, lo, hi, capsys):
+    for n in (lo - 1, hi + 1, -3):
+        assert run_command([cmd, "ricker_triple", flag, str(n)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage error: argument {flag}: ")
+        assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__import__("envcert").__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -602,14 +624,12 @@ def test_cycles_report_roots_near_1_as_1(tmp_path, capsys):
 def test_mobius_fit_exits_2_on_an_unresolved_empty_fit(monkeypatch, capsys):
     # every probe comes back undecided at x = 0.5, which no wider
     # exclusion radius can resolve
-    real = envelopes_mod.envelops
+    real = envelopes_mod._inside_leg
 
-    def undecided(h, model, cfg=None):
-        v = real(h, model, cfg)
-        inside = replace(v.inside, status="unresolved", unresolved=((0.49, 0.51),))
-        return replace(v, passed=False, inside=inside)
+    def undecided(h, model, cfg):
+        return replace(real(h, model, cfg), status="unresolved", unresolved=((0.49, 0.51),))
 
-    monkeypatch.setattr(envelopes_mod, "envelops", undecided)
+    monkeypatch.setattr(envelopes_mod, "_inside_leg", undecided)
     code, fit = _report(capsys, "mobius-fit", "ricker_triple", "--alpha-cells", "20")
     assert code == 2
     assert fit["feasible"] == []

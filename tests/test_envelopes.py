@@ -1,6 +1,7 @@
 """Envelope construction, structural checks and enveloping verdicts."""
 
 import math
+from bisect import bisect_left
 from dataclasses import replace
 
 import numpy as np
@@ -261,23 +262,25 @@ def test_fit_matches_linear_scan_on_family_examples(maps, cfg):
     assert not rep.empty
 
 
-def _count_envelops(monkeypatch):
-    calls = []
-    real = envelopes_mod.envelops
+def _count_sign_checks(monkeypatch):
+    """The intervals of the envelope module's sign checks, in call order."""
+    checks = []
+    real = envelopes_mod.adaptive_sign_check
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(g, interval, *args):
+        checks.append(interval)
+        return real(g, interval, *args)
 
-    monkeypatch.setattr(envelopes_mod, "envelops", counted)
-    return calls
+    monkeypatch.setattr(envelopes_mod, "adaptive_sign_check", counted)
+    return checks
 
 
 def test_empty_fit_costs_one_bisection(monkeypatch):
-    # the bisection for the inside leg's prefix, then one step of the walk
+    # the bisection checks the inside leg for the prefix, then one step of
+    # the walk checks the outside leg
     cfg = _load_config("bh_counterexample")
     system = config_to_system(cfg)
-    calls = _count_envelops(monkeypatch)
+    calls = _count_sign_checks(monkeypatch)
     rep = fit_mobius(system, cfg.grid, 1000)
     assert rep.empty
     assert rep.failure == "violation"
@@ -286,19 +289,37 @@ def test_empty_fit_costs_one_bisection(monkeypatch):
 
 
 def test_rescued_fit_probes_only_its_window(monkeypatch):
-    # no default candidate envelops this map; a narrow alpha band does
+    # no default candidate envelops this map; a narrow alpha band does.
+    # The bisection checks only inside legs, the walk down from the top
+    # of the band only outside legs, and only the two midpoints that
+    # refine the band's ends check both
     f = make_model("exponential-rational", {"a": 0.32, "b": 2.48})
-    calls = _count_envelops(monkeypatch)
+    calls = _count_sign_checks(monkeypatch)
     n = 1000
     rep = fit_mobius(make_system([f]), alpha_cells=n)
     assert len(rep.feasible) == 1
     lo, hi = rep.feasible[0]
     assert lo > 0.5
     alphas = np.arange(n) / n
-    window = int(((alphas >= lo) & (alphas <= hi)).sum())
+    band = np.flatnonzero((alphas >= lo) & (alphas <= hi))
+    i, j = int(band[0]), int(band[-1])
+    window = j - i + 1
     assert 0 < window < n // 5
-    # the bisection, the window, the violation under it, two midpoints
-    assert len(calls) <= math.ceil(math.log2(n + 1)) + window + 3
+    bisection = []
+    bisect_left(range(n), True, key=lambda k: bisection.append(k) or k > j)
+    walk = alphas[i - 1 : j + 1][::-1]  # the band, then the violation under it
+    mids = (0.5 * (alphas[i - 1] + alphas[i]), 0.5 * (alphas[j] + alphas[j + 1]))
+
+    inside = (1e-4, 1.0 - 1e-4)
+
+    def outside(alpha):
+        return (1.0 + 1e-4, min(1.0 / float(alpha), f.domain.hi))
+
+    assert calls == ([inside] * len(bisection) + [outside(a) for a in walk]
+                     + [c for m in mids for c in (inside, outside(m))])
+    # probes of (alpha, map): the bisection, the window, the violation
+    # under it, two midpoints
+    assert len(bisection) + len(walk) + len(mids) <= math.ceil(math.log2(n + 1)) + window + 3
 
 
 def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
@@ -313,32 +334,32 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     assert envelops(make_mobius(0.275), f).outside.status == "violation"
     system = make_system([f])
     expected = _scan_fit(system, alpha_cells=40)
-    calls = _count_envelops(monkeypatch)
+    calls = _count_sign_checks(monkeypatch)
     rep = fit_mobius(system, alpha_cells=40)
     assert (rep.feasible, rep.alpha_step, rep.tested) == expected
     assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
-    # the walk probes the 27 alphas in (0.3, 1), then 0.3 and the
-    # violation at 0.275, one midpoint refines the run's low end, and the
-    # bisection adds at most its own probes
+    # the walk checks the outside leg at the 27 alphas in (0.3, 1), then
+    # at 0.3 and at the violation at 0.275, the midpoint that refines the
+    # run's low end checks both legs, and the bisection over 40 cells
+    # that all pass checks the inside leg 5 times
     assert len(calls) <= math.ceil(math.log2(40 + 1)) + 27 + 2 + 1
 
 
 def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
-    # every alpha envelops this map; the check at alpha = 0.5, the first
-    # probe of the bisection, is made to come back unresolved, which
-    # proves nothing about smaller alpha, so the walk goes on past it
+    # every alpha envelops this map; the outside check at alpha = 0.5 is
+    # made to come back unresolved, which proves nothing about smaller
+    # alpha, so the walk goes on past it
     f = make_model("beverton-holt", {"mu": 3.0, "c": 1.0})
-    real = envelopes_mod.envelops
+    real = envelopes_mod._outside_leg
 
-    def unresolved_at_half(h, model, cfg=None):
-        v = real(h, model, cfg)
+    def unresolved_at_half(h, model, cfg):
+        out = real(h, model, cfg)
         if h.param != 0.5:
-            return v
-        out = replace(v.outside, status="unresolved", unresolved=((1.5, 1.6),))
-        return replace(v, passed=False, outside=out)
+            return out
+        return replace(out, status="unresolved", unresolved=((1.5, 1.6),))
 
-    monkeypatch.setattr(envelopes_mod, "envelops", unresolved_at_half)
+    monkeypatch.setattr(envelopes_mod, "_outside_leg", unresolved_at_half)
     system = make_system([f])
     rep = fit_mobius(system, alpha_cells=40)
     assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
@@ -346,20 +367,19 @@ def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
 
 
 def test_fit_stops_at_the_first_outside_violation(monkeypatch):
-    # every alpha envelops this map; the check at alpha = 0.6 is made to
-    # fail with an outside violation, whose witness refutes every smaller
+    # every alpha envelops this map; the outside check at alpha = 0.6 is
+    # made to fail with a violation, whose witness refutes every smaller
     # alpha, so the walk down stops there
     f = make_model("beverton-holt", {"mu": 3.0, "c": 1.0})
-    real = envelopes_mod.envelops
+    real = envelopes_mod._outside_leg
 
-    def violation_at(h, model, cfg=None):
-        v = real(h, model, cfg)
+    def violation_at(h, model, cfg):
+        out = real(h, model, cfg)
         if h.param != 0.6:
-            return v
-        out = replace(v.outside, status="violation", witness=1.5, witness_value=-0.1)
-        return replace(v, passed=False, outside=out)
+            return out
+        return replace(out, status="violation", witness=1.5, witness_value=-0.1)
 
-    monkeypatch.setattr(envelopes_mod, "envelops", violation_at)
+    monkeypatch.setattr(envelopes_mod, "_outside_leg", violation_at)
     rep = fit_mobius(make_system([f]), alpha_cells=40)
     assert rep.feasible == ((0.6125, 0.975),)
     assert (rep.delta_used, rep.failure) == (1e-4, None)
