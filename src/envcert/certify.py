@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelopes import (
+    MOBIUS_STRUCTURE,
     Envelope,
     EnvelopeVerdict,
     envelops,
@@ -274,11 +275,11 @@ class StabilityCertificate:
 
 
 def default_candidates(system: PeriodicSystem) -> tuple[Envelope, ...]:
-    """Envelope candidates suggested by the families present."""
+    """Moebius envelopes suggested by the families present, one per alpha."""
     out: list[Envelope] = []
 
     def add(env: Envelope) -> None:
-        if all(env.label != e.label for e in out):
+        if all(env.param != e.param for e in out):
             out.append(env)
 
     fams = [f.family for f in system.maps]
@@ -300,8 +301,9 @@ def default_candidates(system: PeriodicSystem) -> tuple[Envelope, ...]:
 def try_candidate(
     h: Envelope, system: PeriodicSystem, cfg: GridConfig
 ) -> CandidateRecord:
-    """The structural gate, then h against every map on the tangency ladder."""
-    struct = structural_check(h, cfg)
+    """The structural gate (sampled only for a custom h: a Moebius h passes
+    it by algebra), then h against every map on the tangency ladder."""
+    struct = structural_check(h, cfg) if h.kind == "custom" else MOBIUS_STRUCTURE
     record = CandidateRecord(
         envelope_label=h.label,
         structural_passed=struct.passed,

@@ -261,6 +261,10 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         return 0
 
     if cmd == "orbit":
+        # bad input; only an orbit that escapes later is a definite negative
+        W = system.working_interval
+        if not W.contains(args.x0, 1e-12):
+            raise ValueError(f"--x0 {args.x0:g} outside working interval [0, {W.hi:g}]")
         try:
             orbit = iterate_orbit(system, args.x0, args.periods)
         except ValueError as exc:

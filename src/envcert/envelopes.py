@@ -9,13 +9,13 @@ second condition is vacuous.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .models import PopulationModel, _number, compile_expression
+from .models import PopulationModel, _family_compiler, _number, compile_expression
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
 from .periodic import PeriodicSystem
 
@@ -39,11 +39,10 @@ _INF_CAP = 1000.0
 
 @dataclass(frozen=True)
 class Envelope:
-    kind: str  # "mobius" | "reciprocal" | "piecewise-bh" | "custom"
+    kind: str  # "mobius" (param is alpha) | "custom" (param is None)
     param: float | None
     x_h: float
     label: str
-    expr: str | None = None
     _eval: Callable = field(default=None, repr=False, compare=False)
 
     def eval(self, x: float) -> float:
@@ -53,42 +52,54 @@ class Envelope:
         return self._eval(np.asarray(x, dtype=float))
 
 
-def _mobius_eval(alpha: float) -> Callable:
-    def fn(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            return (1.0 - alpha * x) / (alpha - (2.0 * alpha - 1.0) * x)
+@dataclass(frozen=True)
+class StructuralReport:
+    """The gate before enveloping, on 4*seed_cells + 1 points of (0, x_h).
 
-    return fn
+    involution_passed: h is finite and positive there and |h(h(x)) - x|
+    stays within 1e-9 max(1, x), also on 4097 points around the grid
+    cell of the largest residual, which is involution_residual.
+    decreasing: h drops strictly between neighbouring grid points.
+    unit_residual: |h(1) - 1|, at most 1e-12 to pass.
+    """
+
+    passed: bool
+    involution_passed: bool
+    involution_residual: float
+    decreasing: bool
+    unit_residual: float
+
+
+# h_alpha = (1 - alpha x)/(alpha - (2 alpha - 1) x), matrix [[-alpha, 1],
+# [-(2 alpha - 1), alpha]].  Its trace is zero, so h o h = id; h(1) = 1;
+# and h' = -(1 - alpha)^2/(alpha - (2 alpha - 1) x)^2 < 0 with h > 0 on
+# (0, 1/alpha).  So every Moebius envelope passes the gate exactly.
+_MOBIUS = "(1 - alpha*x)/(alpha - (2*alpha - 1)*x)"
+MOBIUS_STRUCTURE = StructuralReport(passed=True, involution_passed=True, involution_residual=0.0,
+                                    decreasing=True, unit_residual=0.0)
 
 
 def make_mobius(alpha: float) -> Envelope:
     """One-parameter family of decreasing involutions through (1, 1).
 
     alpha = 0 gives 1/x, alpha = 1/2 gives 2 - x; the positive root is
-    1/alpha.  The defining matrix has zero trace, so h o h = id exactly.
+    x_h = 1/alpha.  Its structural report is MOBIUS_STRUCTURE.
     """
     alpha = _number(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) (got {alpha:g})")
-    x_h = np.inf if alpha == 0.0 else 1.0 / alpha
     return Envelope(
         kind="mobius",
         param=alpha,
-        x_h=x_h,
+        x_h=np.inf if alpha == 0.0 else 1.0 / alpha,
         label=f"mobius(alpha={alpha:g})",
-        _eval=_mobius_eval(alpha),
+        _eval=_family_compiler(_MOBIUS, ("alpha",))({"alpha": alpha})[0],
     )
 
 
 def make_reciprocal() -> Envelope:
-    return Envelope(
-        kind="reciprocal",
-        param=None,
-        x_h=np.inf,
-        label="reciprocal(1/x)",
-        _eval=_mobius_eval(0.0),
-    )
+    """1/x, the Moebius envelope at alpha = 0."""
+    return replace(make_mobius(0.0), label="reciprocal(1/x)")
 
 
 def make_piecewise_bh(c: float) -> Envelope:
@@ -96,14 +107,7 @@ def make_piecewise_bh(c: float) -> Envelope:
     c = _number(c, "c")
     if c <= 2.0:
         raise ValueError(f"c must exceed 2 (got {c:g})")
-    alpha = (c - 2.0) / (c - 1.0)
-    return Envelope(
-        kind="piecewise-bh",
-        param=c,
-        x_h=(c - 1.0) / (c - 2.0),
-        label=f"piecewise-bh(c={c:g})",
-        _eval=_mobius_eval(alpha),
-    )
+    return replace(make_mobius((c - 2.0) / (c - 1.0)), label=f"piecewise-bh(c={c:g})")
 
 
 def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
@@ -125,7 +129,6 @@ def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
         param=None,
         x_h=x_h,
         label=f"custom({expr})",
-        expr=expr,
         _eval=ev,
     )
 
@@ -136,23 +139,6 @@ def _check_span(h: Envelope) -> tuple[float, float]:
     if np.isfinite(h.x_h):
         hi = h.x_h - 1e-6 * max(1.0, h.x_h)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    """The gate before enveloping, on 4*seed_cells + 1 points of (0, x_h).
-
-    involution_passed: h is finite and positive there and |h(h(x)) - x|
-    stays within 1e-9, also on 4097 points around the worst grid cell.
-    decreasing: h drops strictly between neighbouring grid points.
-    unit_residual: |h(1) - 1|, at most 1e-12 to pass.
-    """
-
-    passed: bool
-    involution_passed: bool
-    involution_residual: float
-    decreasing: bool
-    unit_residual: float
 
 
 def _involution_residual(h: Envelope, xs: np.ndarray, hv: np.ndarray) -> np.ndarray:
@@ -174,8 +160,11 @@ def structural_check(h: Envelope, cfg: GridConfig | None = None) -> StructuralRe
     i = int(np.argmax(res))
     # refine around the worst cell
     fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], 4097)
-    worst = max(float(res[i]), float(_involution_residual(h, fine, h.eval_array(fine)).max()))
-    involution_passed = positive and worst <= 1e-9
+    res_fine = _involution_residual(h, fine, h.eval_array(fine))
+    worst = max(float(res[i]), float(res_fine.max()))
+    # the rounding of h(h(x)) grows with x, and so does the tolerance
+    scaled = max((res / np.maximum(1.0, xs)).max(), (res_fine / np.maximum(1.0, fine)).max())
+    involution_passed = positive and scaled <= 1e-9
     with np.errstate(all="ignore"):
         drops = hv[:-1] - hv[1:]
     decreasing = bool(np.isfinite(drops).all() and (drops > 0).all())
@@ -266,17 +255,16 @@ def envelops(
 class FitReport:
     """Feasible alpha ranges of a Moebius fit on the grid k/alpha_cells.
 
-    tested is the number of grid values decided, always alpha_cells: each
-    one is either probed or ruled out by a probe's failure, through the
-    monotonicity of h_alpha in alpha (see fit_mobius).  delta_used is the
-    exclusion radius the fit was decided at.  failure is None for a
-    non-empty fit, "violation" when every probe that ruled an alpha out
-    failed with a violation, and "unresolved" otherwise.
+    alpha_step is 1/alpha_cells; every grid value is decided, by a probe
+    or by a probe's failure through the monotonicity of h_alpha in alpha
+    (see fit_mobius).  delta_used is the exclusion radius the fit was
+    decided at.  failure is None for a non-empty fit, "violation" when
+    every probe that ruled an alpha out failed with a violation, and
+    "unresolved" otherwise.
     """
 
     feasible: tuple[tuple[float, float], ...]
     alpha_step: float
-    tested: int
     delta_used: float
     failure: str | None
 
@@ -311,12 +299,12 @@ def fit_mobius(
     the alphas under it are infeasible.
 
     A probe checks one leg of one map at one grid alpha: the bisection
-    probes only inside legs and the walk only outside legs.  tested is
-    alpha_cells: each grid alpha is decided by a probe or by one of the
-    two arguments above.  An empty fit costs at most
-    ceil(log2(alpha_cells + 1)) inside probes per map, plus one outside
-    probe per map when the walk's first step is a violation.  Each run
-    boundary gets one midpoint refinement, a full envelops per map.
+    probes only inside legs and the walk only outside legs.  Each grid
+    alpha is decided by a probe or by one of the two arguments above.
+    An empty fit costs at most ceil(log2(alpha_cells + 1)) inside probes
+    per map, plus one outside probe per map when the walk's first step is
+    a violation.  Each run boundary gets one midpoint refinement, a full
+    envelops per map.
     The fit runs on the tangency ladder: an empty fit whose ruling probes
     stay undecided only near 0 or 1 is redone at the next exclusion
     radius.  An empty fit with failure "violation" is a definite
@@ -332,7 +320,6 @@ def fit_mobius(
     return FitReport(
         feasible=runs,
         alpha_step=1.0 / alpha_cells,
-        tested=alpha_cells,
         delta_used=delta,
         failure=failure,
     )

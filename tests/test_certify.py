@@ -15,6 +15,7 @@ from envcert import (
     make_custom_envelope,
     make_mobius,
     make_model,
+    make_piecewise_bh,
     make_system,
     schwarzian,
     schwarzian_test,
@@ -221,7 +222,34 @@ def test_certify_mixed_families():
 def test_certify_bh_pair_prefers_reciprocal():
     cert = certify_global_stability(make_system([bh(5.0, 1.5), bh(3.0, 0.8)]))
     assert cert.status == "CertifiedGlobal"
-    assert cert.envelope_kind == "reciprocal"
+    assert (cert.envelope, cert.envelope_param) == ("reciprocal(1/x)", 0.0)
+
+
+def test_default_candidates_dedupe_by_alpha():
+    # c = 7.5 and 7.500001 share a label but not an alpha; c = 3 gives
+    # alpha = 0.5, so mobius(0.5) would repeat it
+    system = make_system([bh(1.1, 7.5), bh(1.2, 7.500001), bh(2.0, 3.0)])
+    cands = certify_mod.default_candidates(system)
+    assert [h.label for h in cands] == [
+        "reciprocal(1/x)", "piecewise-bh(c=7.5)", "piecewise-bh(c=7.5)", "piecewise-bh(c=3)",
+    ]
+    assert [h.param for h in cands] == [0.0, 5.5 / 6.5, 5.500001 / 6.500001, 0.5]
+
+
+def test_only_custom_candidates_are_sampled_for_structure(monkeypatch):
+    calls = []
+    real = certify_mod.structural_check
+    monkeypatch.setattr(certify_mod, "structural_check",
+                        lambda h, cfg: calls.append(h.label) or real(h, cfg))
+    system = seasonal_triple()
+    for h in (make_mobius(0.5), make_mobius(0.0), make_piecewise_bh(3.0)):
+        rec = certify_mod.try_candidate(h, system, GridConfig())
+        assert (rec.involution_residual, rec.unit_residual) == (0.0, 0.0)
+        assert rec.structural_passed and rec.decreasing
+    assert calls == []
+    custom = make_custom_envelope("x*exp(2*(1 - x))")
+    assert certify_mod.try_candidate(custom, system, GridConfig()).failure == "structural"
+    assert calls == [custom.label]
 
 
 def test_certify_harvest_map():

@@ -194,8 +194,9 @@ def test_config_envelope_kinds():
         {"kind": "custom", "expr": "2 - x", "x_h": 2},
         {"kind": "custom", "expr": "1/x", "x_h": float("inf")},
     ]})
-    assert [h.kind for h in cfg.envelopes] == [
-        "mobius", "reciprocal", "piecewise-bh", "custom", "custom", "custom"
+    assert [(h.label, h.param) for h in cfg.envelopes] == [
+        ("mobius(alpha=0.75)", 0.75), ("reciprocal(1/x)", 0.0), ("piecewise-bh(c=3)", 0.5),
+        ("custom(2 - x)", None), ("custom(2 - x)", None), ("custom(1/x)", None),
     ]
     assert cfg.envelopes[-2].x_h == 2.0
     assert cfg.envelopes[-1].x_h == float("inf")
@@ -314,7 +315,7 @@ def test_mobius_fit_counterexample_is_infeasible(tmp_path):
     assert code == 1
     doc = json.loads(out.read_text())
     assert doc["result"]["feasible"] == []
-    assert doc["result"]["tested"] >= 150
+    assert doc["result"]["alpha_step"] == pytest.approx(1.0 / 150)
 
 
 def test_cycles_command_lists_counterexample_equilibria(tmp_path):
@@ -339,11 +340,28 @@ def test_orbit_command(capsys):
     doc = json.loads(out)
     assert doc["result"]["distance_to_one"] < 1e-8
 
-    code = run_command(["orbit", "quadratic_pair", "--x0", "1.4"])
+    # a start outside the working interval is an input error, not a
+    # definite negative, and leaves stdout empty
+    for name, x0 in [("quadratic_pair", "1.4"), ("ricker_triple", "nan"),
+                     ("ricker_triple", "inf"), ("ricker_triple", "-1")]:
+        code = run_command(["orbit", name, f"--x0={x0}"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert f"--x0 {float(x0):g} outside working interval [0, " in err
+
+
+def test_orbit_escape_after_start_is_reported(capsys, monkeypatch):
+    # a start inside the working interval whose orbit later fails a
+    # domain check keeps its report and exit code 1
+    def escaped(system, x0, num_periods):
+        raise ValueError("orbit escaped at step 3: x outside domain")
+
+    monkeypatch.setattr("envcert.cli.iterate_orbit", escaped)
+    code = run_command(["orbit", "quadratic_pair", "--x0", "0.5"])
     out, _ = capsys.readouterr()
     assert code == 1
-    doc = json.loads(out)
-    assert "outside" in doc["result"]["error"]
+    assert json.loads(out)["result"]["error"].startswith("orbit escaped at step 3")
 
 
 def test_plot_data_writes_csv_and_svg(tmp_path):
@@ -493,10 +511,6 @@ def _report(capsys, *argv):
 
 def _alpha(kind, param):
     """The Moebius parameter of a certified envelope, None for a custom one."""
-    if kind == "reciprocal":
-        return 0.0
-    if kind == "piecewise-bh":
-        return (param - 2.0) / (param - 1.0)
     return param if kind == "mobius" else None
 
 

@@ -170,7 +170,7 @@ def test_fit_bh_contains_map_specific_alpha():
 
 def _scan_fit(system, cfg=None, alpha_cells=1000):
     """Reference: the linear scan that probes every grid alpha in full at
-    one exclusion radius; (feasible, alpha_step, tested) of its fit."""
+    one exclusion radius; (feasible, alpha_step) of its fit."""
     if cfg is None:
         cfg = GridConfig()
     alphas = np.arange(alpha_cells) / alpha_cells
@@ -200,14 +200,14 @@ def _scan_fit(system, cfg=None, alpha_cells=1000):
             i = j + 1
         else:
             i += 1
-    return tuple(runs), 1.0 / alpha_cells, alpha_cells
+    return tuple(runs), 1.0 / alpha_cells
 
 
 def _matches_scan(rep, system, cfg=None, alpha_cells=1000):
     """rep is the linear scan's fit at the exclusion radius rep used."""
     cfg = replace(cfg or GridConfig(), exclusion_radius=rep.delta_used)
     scan = _scan_fit(system, cfg, alpha_cells)
-    return (rep.feasible, rep.alpha_step, rep.tested) == scan and (rep.failure is None) == bool(scan[0])
+    return (rep.feasible, rep.alpha_step) == scan and (rep.failure is None) == bool(scan[0])
 
 
 @pytest.mark.parametrize("name", _bundled_names())
@@ -284,7 +284,6 @@ def test_empty_fit_costs_one_bisection(monkeypatch):
     rep = fit_mobius(system, cfg.grid, 1000)
     assert rep.empty
     assert rep.failure == "violation"
-    assert rep.tested == 1000
     assert len(calls) <= (math.ceil(math.log2(1000 + 1)) + 1) * system.period
 
 
@@ -336,7 +335,7 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     expected = _scan_fit(system, alpha_cells=40)
     calls = _count_sign_checks(monkeypatch)
     rep = fit_mobius(system, alpha_cells=40)
-    assert (rep.feasible, rep.alpha_step, rep.tested) == expected
+    assert (rep.feasible, rep.alpha_step) == expected
     assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
     # the walk checks the outside leg at the 27 alphas in (0.3, 1), then
@@ -393,6 +392,38 @@ def test_fit_rejects_empty_grid():
 
 
 def test_envelope_labels():
-    assert make_mobius(0.5).label == "mobius(alpha=0.5)"
-    assert make_reciprocal().kind == "reciprocal"
-    assert make_piecewise_bh(3.0).kind == "piecewise-bh"
+    for h, label, alpha, x_h in [
+        (make_mobius(0.5), "mobius(alpha=0.5)", 0.5, 2.0),
+        (make_reciprocal(), "reciprocal(1/x)", 0.0, np.inf),
+        (make_piecewise_bh(3.0), "piecewise-bh(c=3)", 0.5, 2.0),
+    ]:
+        assert (h.label, h.param, h.x_h) == (label, alpha, x_h)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 8.0 / 11.0, 11.0 / 13.0])
+def test_compiled_mobius_matches_closed_form_bit_for_bit(alpha):
+    # the compiled formula against the closed-form expression it replaced,
+    # at 0, 1, x_h and past x_h, where h is negative and may have a pole
+    h = make_mobius(alpha)
+    x_h = 1.0 / alpha if alpha else 50.0
+    xs = np.concatenate([
+        [0.0, 1.0, x_h, np.nextafter(x_h, 0.0), np.nextafter(x_h, np.inf)],
+        np.linspace(0.0, 4.0 * x_h, 20_001),
+    ])
+    with np.errstate(all="ignore"):
+        expected = (1.0 - alpha * xs) / (alpha - (2.0 * alpha - 1.0) * xs)
+    np.testing.assert_array_equal(h.eval_array(xs), expected)
+    assert h.eval(1.0) == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.999))
+def test_sampled_gate_agrees_with_mobius_constant(alpha):
+    # the sampled structural check is the reference for MOBIUS_STRUCTURE,
+    # also at tiny alpha, whose x_h is beyond 1e6.  Past alpha = 0.999 it
+    # cannot be: h(h(x)) near x_h loses about 2 log10(1/(1 - alpha))
+    # digits, and at alpha = 0.9999 the sampled residual exceeds 1e-9
+    rep = structural_check(make_mobius(alpha), GridConfig(seed_cells=1024))
+    const = envelopes_mod.MOBIUS_STRUCTURE
+    assert (rep.passed, rep.involution_passed, rep.decreasing) == (
+        const.passed, const.involution_passed, const.decreasing) == (True, True, True)
