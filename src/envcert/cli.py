@@ -15,10 +15,9 @@ import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
-import yaml
 
 from .certify import (
     axiom_gate,
@@ -28,11 +27,11 @@ from .certify import (
     schwarzian_test,
     try_candidate,
 )
-from .config import SystemConfig, config_from_dict, config_to_system, parse_system_config
+from .config import SystemConfig, _from_yaml, config_to_system, parse_system_config
 from .envelopes import fit_mobius
 from .numerics import GridConfig
 from .periodic import compose_array, find_geometric_cycles, iterate_orbit
-from .report import ReportDocument, emit_plot_data, emit_report, plain, render_svg
+from .report import ReportDocument, emit_plot_data, emit_report, render_svg
 
 __all__ = ["main", "run_command", "build_parser"]
 
@@ -66,11 +65,7 @@ def _load_config(name: str) -> SystemConfig:
     base = name[: -len(".yaml")] if name.endswith(".yaml") else name
     res = resources.files("envcert").joinpath("configs", f"{base}.yaml")
     if res.is_file():
-        try:
-            data = yaml.safe_load(res.read_text())
-        except yaml.YAMLError as exc:
-            raise ValueError(f"config parse error in bundled {base}: {exc}") from exc
-        return config_from_dict(data)
+        return _from_yaml(res.read_text(), f"bundled {base}")
     raise ValueError(
         f"no such config file or bundled name: {name!r}; "
         f"bundled configs: {', '.join(_bundled_names())}"
@@ -171,13 +166,8 @@ def _write(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit(command: str, cfg: SystemConfig, grid: GridConfig, result: dict, args) -> None:
-    doc = ReportDocument(
-        command=command,
-        config=cfg.raw,
-        tolerances=plain(grid),
-        result=result,
-    )
+def _emit(command: str, cfg: SystemConfig, grid: GridConfig, result: Any, args) -> None:
+    doc = ReportDocument(command=command, config=cfg.raw, tolerances=grid, result=result)
     _write(emit_report(doc, args.format), args)
 
 
@@ -214,17 +204,17 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         cert = certify_global_stability(
             system, candidates=cfg.envelopes or None, cfg=grid
         )
-        _emit(cmd, cfg, grid, plain(cert), args)
+        _emit(cmd, cfg, grid, cert, args)
         print(f"status: {cert.status}", file=sys.stderr)
         return _STATUS_EXIT[cert.status]
 
     if cmd == "axioms":
         maps, comp, failure = axiom_gate(system, grid)
         result = {
-            "maps": plain(maps),
+            "maps": maps,
             "composition": {
-                "violations": plain(comp.violations),
-                "fixed_point_residuals": plain(comp.fixed_point_residuals),
+                "violations": comp.violations,
+                "fixed_point_residuals": comp.fixed_point_residuals,
                 "delta_used": comp.delta_used,
             },
             "working_interval": [system.working_interval.lo, system.working_interval.hi],
@@ -235,14 +225,14 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
     if cmd == "envelope-check":
         envs = cfg.envelopes or default_candidates(system)
         records = [try_candidate(h, system, grid) for h in envs]
-        _emit(cmd, cfg, grid, {"candidates": plain(records)}, args)
+        _emit(cmd, cfg, grid, {"candidates": records}, args)
         if any(r.passed for r in records):
             return 0
         return 1 if all(r.failure in ("structural", "violation") for r in records) else 2
 
     if cmd == "mobius-fit":
         fit = fit_mobius(system, grid, alpha_cells=args.alpha_cells)
-        _emit(cmd, cfg, grid, plain(fit), args)
+        _emit(cmd, cfg, grid, fit, args)
         if fit.feasible:
             return 0
         return 2 if fit.failure == "unresolved" else 1
@@ -253,8 +243,8 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         fixed = [0.0] if abs(float(compose_array(system, np.zeros(1))[0])) <= 1e-9 else []
         fixed += [c.points[0] for c in cycles if c.period_count == 1 and c.start_phase == 0]
         result = {
-            "fixed_points": plain(fixed),
-            "cycles": plain(cycles),
+            "fixed_points": fixed,
+            "cycles": cycles,
             "r_max": args.r_max,
         }
         _emit(cmd, cfg, grid, result, args)
@@ -273,7 +263,7 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         result = {
             "x0": args.x0,
             "periods": args.periods,
-            "values": plain(orbit),
+            "values": orbit,
             "final": float(orbit[-1]),
             "distance_to_one": abs(float(orbit[-1]) - 1.0),
         }
@@ -282,12 +272,12 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
 
     if cmd == "schwarzian":
         reports = [schwarzian_test(f, grid) for f in system.maps]
-        _emit(cmd, cfg, grid, {"maps": plain(reports)}, args)
+        _emit(cmd, cfg, grid, {"maps": reports}, args)
         return 0 if all(r.passed for r in reports) else 1
 
     if cmd == "conditions":
         rep = closed_form_conditions(system)
-        _emit(cmd, cfg, grid, plain(rep), args)
+        _emit(cmd, cfg, grid, rep, args)
         if rep.aggregate is None:
             return 2
         return 0 if rep.aggregate else 1

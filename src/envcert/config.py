@@ -136,14 +136,19 @@ def config_from_dict(data: Any) -> SystemConfig:
     )
 
 
-def parse_system_config(path: str | Path) -> SystemConfig:
-    """Load and validate a config file (YAML or JSON)."""
-    text = Path(path).read_text()
+def _from_yaml(text: str, source: str) -> SystemConfig:
+    """Parse and validate config text (YAML or JSON); source names it in
+    a parse error."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ValueError(f"config parse error in {path}: {exc}") from exc
+        raise ValueError(f"config parse error in {source}: {exc}") from exc
     return config_from_dict(data)
+
+
+def parse_system_config(path: str | Path) -> SystemConfig:
+    """Load and validate a config file (YAML or JSON)."""
+    return _from_yaml(Path(path).read_text(), str(path))
 
 
 def config_to_system(cfg: SystemConfig) -> PeriodicSystem:

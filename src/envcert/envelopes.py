@@ -33,7 +33,9 @@ __all__ = [
     "fit_mobius",
 ]
 
-# Cap for grid checks when the envelope never returns to zero.
+# Right end of the structural gate's span when x_h lies beyond it.  A
+# uniform grid up to a huge x_h samples nothing near 1, and the slope of a
+# Moebius h underflows to -0 past x ~ 1e154 (alpha below ~1e-154).
 _INF_CAP = 1000.0
 
 
@@ -44,6 +46,7 @@ class Envelope:
     x_h: float
     label: str
     _eval: Callable = field(default=None, repr=False, compare=False)
+    _slope: Callable = field(default=None, repr=False, compare=False)  # h'
 
     def eval(self, x: float) -> float:
         return float(self._eval(np.asarray([x]))[0])
@@ -54,12 +57,12 @@ class Envelope:
 
 @dataclass(frozen=True)
 class StructuralReport:
-    """The gate before enveloping, on 4*seed_cells + 1 points of (0, x_h).
+    """The gate before enveloping, from the sign checks of structural_check.
 
-    involution_passed: h is finite and positive there and |h(h(x)) - x|
-    stays within 1e-9 max(1, x), also on 4097 points around the grid
-    cell of the largest residual, which is involution_residual.
-    decreasing: h drops strictly between neighbouring grid points.
+    involution_passed: h > 0 and |h(h(x)) - x| < tol(x) hold on every
+    sample; involution_residual is the largest |h(h(x)) - x| sampled
+    (inf where it is NaN).
+    decreasing: h' < 0 holds on every sample.
     unit_residual: |h(1) - 1|, at most 1e-12 to pass.
     """
 
@@ -88,12 +91,14 @@ def make_mobius(alpha: float) -> Envelope:
     alpha = _number(alpha, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) (got {alpha:g})")
+    value, derivs = _family_compiler(_MOBIUS, ("alpha",))({"alpha": alpha})
     return Envelope(
         kind="mobius",
         param=alpha,
         x_h=np.inf if alpha == 0.0 else 1.0 / alpha,
         label=f"mobius(alpha={alpha:g})",
-        _eval=_family_compiler(_MOBIUS, ("alpha",))({"alpha": alpha})[0],
+        _eval=value,
+        _slope=derivs[0],
     )
 
 
@@ -116,7 +121,7 @@ def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
     A given finite x_h must be the first root of h past 1: x_h > 1,
     |h(x_h)| <= 1e-9, and no sign change of h on (1, x_h (1 - 1e-9)).
     """
-    ev, _ = compile_expression(expr)
+    ev, derivs = compile_expression(expr)
     if x_h is None:
         roots = scan_roots(ev, (1.0 + 1e-9, 50.0), 8192)
         x_h = float(roots[0]) if roots.size else np.inf
@@ -130,50 +135,48 @@ def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
         x_h=x_h,
         label=f"custom({expr})",
         _eval=ev,
+        _slope=derivs[0],
     )
 
 
 def _check_span(h: Envelope) -> tuple[float, float]:
-    lo = 1e-6
-    hi = min(h.x_h, _INF_CAP)
-    if np.isfinite(h.x_h):
-        hi = h.x_h - 1e-6 * max(1.0, h.x_h)
-    return lo, hi
-
-
-def _involution_residual(h: Envelope, xs: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        res = np.abs(h.eval_array(hv) - xs)
-    return np.where(np.isfinite(res), res, np.inf)
+    hi = h.x_h - 1e-6 * max(1.0, h.x_h) if np.isfinite(h.x_h) else _INF_CAP
+    return 1e-6, min(hi, _INF_CAP)
 
 
 def structural_check(h: Envelope, cfg: GridConfig | None = None) -> StructuralReport:
-    """Involution + strict decrease + h(1) = 1, the gate before enveloping."""
+    """Involution + strict decrease + h(1) = 1, the gate before enveloping.
+
+    Three sign checks with abs_tol = 0 on (1e-6, x_h - 1e-6 max(1, x_h)),
+    cut at 1000: h > 0, h' < 0 from h's compiled derivative, and the
+    involution slack tol(x) - |h(h(x)) - x| > 0.
+    h(h(x)) carries the rounding of h(x) scaled by |h'(h(x))|, so tol(x)
+    = 1e-9 max(1, x, |h'(h(x)) h(x)|).
+    """
     if cfg is None:
         cfg = GridConfig()
-    lo, hi = _check_span(h)
-    n = 4 * cfg.seed_cells + 1
-    xs = np.linspace(lo, hi, n)
-    hv = h.eval_array(xs)
-    positive = bool(np.isfinite(hv).all() and (hv > 0).all())
-    res = _involution_residual(h, xs, hv)
-    i = int(np.argmax(res))
-    # refine around the worst cell
-    fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], 4097)
-    res_fine = _involution_residual(h, fine, h.eval_array(fine))
-    worst = max(float(res[i]), float(res_fine.max()))
-    # the rounding of h(h(x)) grows with x, and so does the tolerance
-    scaled = max((res / np.maximum(1.0, xs)).max(), (res_fine / np.maximum(1.0, fine)).max())
-    involution_passed = positive and scaled <= 1e-9
-    with np.errstate(all="ignore"):
-        drops = hv[:-1] - hv[1:]
-    decreasing = bool(np.isfinite(drops).all() and (drops > 0).all())
+    strict = replace(cfg, abs_tol=0.0)
+    span = _check_span(h)
+    worst = 0.0
+
+    def slack(x: np.ndarray) -> np.ndarray:
+        nonlocal worst
+        hv = h.eval_array(x)
+        res = np.abs(h.eval_array(hv) - x)
+        worst = max(worst, float(np.where(np.isnan(res), np.inf, res).max()))
+        tol = 1e-9 * np.maximum(np.maximum(1.0, x), np.abs(h._slope(hv) * hv))
+        return tol - res
+
+    positive = adaptive_sign_check(h.eval_array, span, "positive", strict)
+    involution = adaptive_sign_check(slack, span, "positive", strict)
+    decreasing = adaptive_sign_check(h._slope, span, "negative", strict)
     unit = abs(h.eval(1.0) - 1.0)
+    involution_passed = positive.ok and involution.ok
     return StructuralReport(
-        passed=involution_passed and decreasing and unit <= 1e-12,
+        passed=involution_passed and decreasing.ok and unit <= 1e-12,
         involution_passed=involution_passed,
         involution_residual=worst,
-        decreasing=decreasing,
+        decreasing=decreasing.ok,
         unit_residual=unit,
     )
 

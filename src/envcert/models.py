@@ -300,15 +300,26 @@ def _add(a: list, b: list, sign: float) -> list:
     return out
 
 
+def _zero_times_slope(a: list, b: list):
+    """a0 b1 in the first derivative of a product.  Where a0 is 0 and b0
+    finite, a diverging b1 has limit 0 in a b', not nan: a fractional
+    power puts b'(0) at infinity (x*exp(1.5*(1 - x**0.5)) at 0)."""
+    return np.where((a[0] == 0.0) & np.isfinite(b[0]) & ~np.isfinite(b[1]), 0.0, a[0] * b[1])
+
+
 def _mul(a: list, b: list, n: int) -> list:
     if len(a) == 1:
         return [a[0] * c for c in b]
     if len(b) == 1:
         return [c * b[0] for c in a]
-    return [
+    out = [
         sum(a[i] * b[m - i] for i in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1))
         for m in range(min(n, len(a) + len(b) - 1))
     ]
+    if n > 1:
+        # sum() as above, so that -0.0 + -0.0 still gives 0.0
+        out[1] = sum((_zero_times_slope(a, b), _zero_times_slope(b, a)))
+    return out
 
 
 def _div(a: list, b: list, n: int) -> list:

@@ -21,7 +21,6 @@ __all__ = [
     "scan_grid",
     "scan_roots",
     "fd_derivative",
-    "grid_max",
 ]
 
 # Sample offsets inside each cell: endpoints, quartiles, midpoint.
@@ -52,7 +51,8 @@ class GridConfig:
                 raise ValueError(f"{name} must be an integer (got {v!r})")
         if self.seed_cells < 1:
             raise ValueError("seed_cells must be at least 1")
-        # structural_check samples 4 seed_cells + 1 points; keep them to tens of MB
+        # the sign checks and cycle scans hold seed_cells + 1 points per
+        # grid; keep them to tens of MB
         if self.seed_cells > 2**20:
             raise ValueError(f"seed_cells must be at most {2**20} (got {self.seed_cells})")
         if not 0 <= self.max_refinement_depth <= 30:
@@ -425,31 +425,3 @@ def fd_derivative(g: Callable[[float], float], x: float, order: int = 1) -> floa
     d3 = gv(x + 3 * h) - gv(x - 3 * h)
     return (-13 * d1 + 8 * d2 - d3) / (8 * h ** 3)
 
-
-# Grid points grid_max samples before its ternary polish.
-_GRID_MAX_SAMPLES = 8193
-
-
-def grid_max(
-    g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
-) -> tuple[float, float]:
-    """(argmax, max) of g on [lo, hi]: grid scan plus local ternary polish."""
-    xs = np.linspace(lo, hi, _GRID_MAX_SAMPLES)
-    with np.errstate(all="ignore"):
-        vs = np.asarray(g(xs), dtype=float)
-    if not np.isfinite(vs).any():
-        raise ValueError("no finite values on the grid")
-    i = int(np.nanargmax(vs))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, _GRID_MAX_SAMPLES - 1)]
-    for _ in range(120):
-        if b - a <= 1e-13 * max(1.0, abs(b)):
-            break
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        if float(g(np.asarray([m1]))[0]) < float(g(np.asarray([m2]))[0]):
-            a = m1
-        else:
-            b = m2
-    xstar = 0.5 * (a + b)
-    return xstar, float(g(np.asarray([xstar]))[0])

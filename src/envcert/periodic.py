@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import Interval, PopulationModel
-from .numerics import GridConfig, grid_max, scan_grid, scan_roots
+from .numerics import GridConfig, scan_grid, scan_roots
 
 __all__ = [
     "PeriodicSystem",
@@ -66,6 +66,12 @@ def _chain_check(maps: Sequence[PopulationModel], m: float) -> tuple[bool, str |
     return True, None
 
 
+def _max_on(f: PopulationModel, m: float) -> float:
+    """The maximum of f on [0, m]: at an end or where f' changes sign."""
+    crit = scan_roots(lambda t: f.deriv_array(t, 1), (0.0, m), 8192)
+    return float(np.nanmax(f.eval_array(np.concatenate([[0.0, m], crit]))))
+
+
 def make_system(models: Sequence[PopulationModel]) -> PeriodicSystem:
     """Assemble maps into a periodic system on a verified working interval."""
     maps = tuple(models)
@@ -84,8 +90,7 @@ def make_system(models: Sequence[PopulationModel]) -> PeriodicSystem:
     # a map that falls back to zero at a natural endpoint caps the
     # working interval by the smallest one-step image maximum
     if any(f._natural_hi is not None for f in maps):
-        image_cap = min(grid_max(f.eval_array, 0.0, m0)[1] for f in maps)
-        m0 = min(m0, image_cap)
+        m0 = min(m0, min(_max_on(f, m0) for f in maps))
     if m0 < 1.0 - 1e-9:
         raise ValueError(
             f"working interval would end at {m0:g} < 1; the positive fixed "

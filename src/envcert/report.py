@@ -45,10 +45,12 @@ def plain(obj: Any) -> Any:
 
 @dataclass(frozen=True)
 class ReportDocument:
+    """One report; emit_report converts each part with plain, once."""
+
     command: str
-    config: dict
-    tolerances: dict
-    result: dict
+    config: Any
+    tolerances: Any
+    result: Any
 
 
 def emit_report(doc: ReportDocument, fmt: str = "json") -> str:

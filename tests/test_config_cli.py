@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from envcert import config_from_dict, config_to_system, parse_system_config, two_cycle_oracle
-from envcert import envelopes as envelopes_mod
+from envcert import cli as cli_mod, envelopes as envelopes_mod
 from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, build_parser, run_command
 
 BUNDLED = [
@@ -215,6 +215,20 @@ def test_yaml_and_json_files_parse_alike(tmp_path):
     a = parse_system_config(ypath)
     b = parse_system_config(jpath)
     assert a.models[0].params == b.models[0].params == {"r": 1.3}
+
+
+def test_malformed_yaml_names_its_source(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("models: [\n")
+    assert run_command(["certify", str(bad)]) == 3
+    assert f"error: config parse error in {bad}: " in capsys.readouterr().err
+    # a bundled name goes through the same parser, and says it is bundled
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "broken.yaml").write_text("models: [\n")
+    monkeypatch.setattr(cli_mod.resources, "files", lambda package: tmp_path)
+    monkeypatch.chdir(tmp_path / "configs")
+    assert run_command(["certify", "broken"]) == 3
+    assert "error: config parse error in bundled broken: " in capsys.readouterr().err
 
 
 def test_bundled_configs_all_build():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from envcert import (
     envelops,
@@ -102,17 +102,45 @@ def test_custom_envelope_rejects_x_h_off_its_first_root(expr, x_h):
 
 
 def test_non_involution_candidate_rejected():
-    # a humped map is not a decreasing involution
+    # a humped map is not a decreasing involution; with no root past 1 the
+    # gate spans (1e-6, 1000)
     g = make_custom_envelope("x*exp(2*(1 - x))")
+    assert g.x_h == math.inf
     rep = structural_check(g)
-    assert not rep.passed
-    assert not rep.involution_passed or not rep.decreasing
+    assert (rep.passed, rep.involution_passed, rep.decreasing) == (False, False, False)
+    assert rep.involution_residual > 1.0
 
 
 def test_decreasing_check_catches_rise():
+    # h' = -1 + 0.8 (x - 1) turns positive past x = 2.25
     g = make_custom_envelope("2 - x + 0.4*(x - 1)**2")
+    assert g.x_h == math.inf
     rep = structural_check(g)
-    assert not rep.decreasing
+    assert (rep.passed, rep.involution_passed, rep.decreasing) == (False, False, False)
+
+
+def _custom_mobius(alpha):
+    return make_custom_envelope(f"(1 - {alpha!r}*x)/({alpha!r} - {2.0 * alpha - 1.0!r}*x)")
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_steep_custom_mobius_passes_the_structural_gate(k):
+    # h(h(x)) loses about 2k digits near the pole, which the involution
+    # tolerance allows for.  The root 1/alpha and the pole alpha/(2 alpha
+    # - 1) share one cell of the x_h scan, so x_h is inf and the gate runs
+    # past the pole to 1000
+    h = _custom_mobius(1.0 - 10.0 ** -k)
+    assert h.x_h == math.inf
+    rep = structural_check(h)
+    assert (rep.passed, rep.involution_passed, rep.decreasing) == (True, True, True)
+
+
+def test_steepest_custom_mobius_fails_decreasing():
+    # at alpha = 1 - 1e-7, h' = -(1 - alpha)^2/(alpha - (2 alpha - 1) x)^2
+    # past the pole is about -1e-14/x^2, below the rounding of the
+    # quotient rule's numerator, so the computed slope takes both signs
+    rep = structural_check(_custom_mobius(1.0 - 1e-7))
+    assert (rep.passed, rep.involution_passed, rep.decreasing) == (False, True, False)
 
 
 def test_ricker_enveloped_by_affine():
@@ -417,12 +445,14 @@ def test_compiled_mobius_matches_closed_form_bit_for_bit(alpha):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(0.0, 0.999))
+@given(st.floats(0.0, 1.0 - 1e-6))
+@example(0.9999)
+@example(1.0 - 1e-6)
 def test_sampled_gate_agrees_with_mobius_constant(alpha):
     # the sampled structural check is the reference for MOBIUS_STRUCTURE,
-    # also at tiny alpha, whose x_h is beyond 1e6.  Past alpha = 0.999 it
-    # cannot be: h(h(x)) near x_h loses about 2 log10(1/(1 - alpha))
-    # digits, and at alpha = 0.9999 the sampled residual exceeds 1e-9
+    # also at tiny alpha, whose x_h is beyond 1e6, and at alpha near 1,
+    # where h(h(x)) near x_h loses about 2 log10(1/(1 - alpha)) digits
+    # that the involution tolerance allows for through |h'(h(x)) h(x)|
     rep = structural_check(make_mobius(alpha), GridConfig(seed_cells=1024))
     const = envelopes_mod.MOBIUS_STRUCTURE
     assert (rep.passed, rep.involution_passed, rep.decreasing) == (

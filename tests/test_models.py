@@ -14,6 +14,7 @@ import sympy
 
 from envcert import FAMILIES, Interval, make_custom_envelope, make_model, verify_population_axioms
 from envcert.cli import run_command
+from envcert.models import compile_expression
 from envcert.numerics import GridConfig, fd_derivative
 
 
@@ -140,6 +141,25 @@ def test_custom_quotient_derivative_at_fractional_power_zero(expr, slope):
     # the denominator's derivative is infinite at 0 where the quotient is
     # 0; their product has the limit 0, so f'(0) is the limit, not nan
     assert make_model("custom", pieces=[(0.0, expr)]).deriv(0.0, 1) == slope
+
+
+@pytest.mark.parametrize("expr", [
+    "x*exp(1.5*(1 - x**0.5))",
+    "exp(1.5*(1 - x**0.5))*x",
+    "x*exp(1.5*(1 - sqrt(x)))",
+])
+def test_custom_product_derivative_at_fractional_power_zero(expr):
+    # x times a factor whose derivative is infinite at 0, where x is 0 and
+    # the factor finite: the product's f'(0) is the factor's value exp(1.5)
+    f = make_model("custom", pieces=[(0.0, expr)])
+    assert f.deriv(0.0, 1) == pytest.approx(math.exp(1.5), rel=1e-15)
+
+
+def test_product_slope_stays_undefined_where_a_factor_diverges():
+    # x*x**-1.5 is x**-0.5, whose slope at 0 is -inf: 0 times the
+    # factor's infinite slope is no limit when the factor is infinite too
+    _, (d1, _, _) = compile_expression("x*x**-1.5")
+    assert np.isnan(d1(np.zeros(1))[0])
 
 
 # Each family's closed form in plain numpy, in the operation order of its

@@ -14,7 +14,6 @@ from envcert.numerics import (
     adaptive_sign_check,
     bracketed_root,
     fd_derivative,
-    grid_max,
     scan_roots,
     tangency_ladder,
 )
@@ -396,19 +395,6 @@ def test_fd_exact_on_small_quartics():
 def test_fd_rejects_bad_order():
     with pytest.raises(ValueError):
         fd_derivative(math.sin, 0.0, 4)
-
-
-def test_grid_max_parabola():
-    # y = -(x-2)^2 + 1, peak at (2, 1)
-    x, v = grid_max(lambda t: -((t - 2.0) ** 2) + 1.0, 0.0, 4.0)
-    assert x == pytest.approx(2.0, abs=1e-6)
-    assert v == pytest.approx(1.0, abs=1e-10)
-
-
-def test_grid_max_at_boundary():
-    x, v = grid_max(lambda t: np.asarray(t, dtype=float), 0.0, 3.0)
-    assert x == pytest.approx(3.0)
-    assert v == pytest.approx(3.0)
 
 
 def _merge_cells_loop(los, his):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +99,93 @@ def test_working_interval_caps_at_image_for_humped_maps():
         make_model("beverton-holt-harvest", {"r": 3.0, "c": 0.3}),
     ])
     assert harv.working_interval.hi >= 1.0 - 1e-9
+
+
+def _grid_max(g, lo, hi):
+    """(argmax, max) of g on [lo, hi] from 8193 grid points and a ternary
+    polish around the best one: how make_system took each map's maximum
+    before it scanned f' for sign changes.  The reference for that scan."""
+    xs = np.linspace(lo, hi, 8193)
+    with np.errstate(all="ignore"):
+        vs = np.asarray(g(xs), dtype=float)
+    i = int(np.nanargmax(vs))
+    a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    for _ in range(120):
+        if b - a <= 1e-13 * max(1.0, abs(b)):
+            break
+        m1, m2 = a + (b - a) / 3, b - (b - a) / 3
+        if float(g(np.asarray([m1]))[0]) < float(g(np.asarray([m2]))[0]):
+            a = m1
+        else:
+            b = m2
+    xstar = 0.5 * (a + b)
+    return xstar, float(g(np.asarray([xstar]))[0])
+
+
+def test_grid_max_parabola():
+    # y = -(x-2)^2 + 1, peak at (2, 1)
+    x, v = _grid_max(lambda t: -((t - 2.0) ** 2) + 1.0, 0.0, 4.0)
+    assert x == pytest.approx(2.0, abs=1e-6)
+    assert v == pytest.approx(1.0, abs=1e-10)
+
+
+def test_grid_max_at_boundary():
+    x, v = _grid_max(lambda t: np.asarray(t, dtype=float), 0.0, 3.0)
+    assert x == pytest.approx(3.0)
+    assert v == pytest.approx(3.0)
+
+
+def _reference_working_interval(maps):
+    """make_system's working interval with each maximum from _grid_max, or
+    the ValueError message it raises."""
+    with mock.patch.object(periodic, "_max_on", lambda f, m: _grid_max(f.eval_array, 0.0, m)[1]):
+        try:
+            return make_system(maps).working_interval
+        except ValueError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_working_interval_equals_the_grid_max_reference_on_bundled_configs(name):
+    maps = _load_config(name).models
+    assert make_system(maps).working_interval == _reference_working_interval(maps)
+
+
+_HUMPED_MAP = st.one_of(
+    st.builds(lambda mu: ("quadratic", {"mu": mu}), st.floats(0.05, 3.5)),
+    st.builds(lambda r, c: ("beverton-holt-harvest", {"r": r, "c": c}),
+              st.floats(1.01, 6.0), st.floats(0.01, 0.99)),
+)
+_OTHER_MAP = st.one_of(
+    st.builds(lambda r: ("ricker", {"r": r}), st.floats(0.3, 3.0)),
+    st.builds(lambda mu, c: ("beverton-holt", {"mu": mu, "c": c}),
+              st.floats(1.1, 5.0), st.floats(0.3, 4.0)),
+    st.builds(lambda a, b: ("exponential-rational", {"a": a, "b": b}),
+              st.floats(0.1, 1.0), st.floats(0.5, 3.0)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(first=_HUMPED_MAP, rest=st.lists(st.one_of(_HUMPED_MAP, _OTHER_MAP), max_size=2))
+@example(first=("quadratic", {"mu": 2.0}), rest=[("quadratic", {"mu": 1.0})])
+@example(first=("beverton-holt-harvest", {"r": 2.0, "c": 0.5}),
+         rest=[("beverton-holt-harvest", {"r": 3.0, "c": 0.3})])
+def test_working_interval_matches_the_grid_max_reference(first, rest):
+    # Both maxima are f evaluated within about 1e-8 of the peak, where the
+    # formula's rounding decides the last bit: they agree bit for bit on
+    # the bundled configs, here to a few ulps.  A working interval that
+    # the chain check's bisection sets inherits those ulps in its start
+    # and ends up to ~1e-13 apart.
+    maps = [make_model(fam, params) for fam, params in [first, *rest]]
+    ref = _reference_working_interval(maps)
+    try:
+        got = make_system(maps).working_interval
+    except ValueError as exc:
+        assert str(exc) == ref
+        return
+    assert isinstance(ref, Interval), ref
+    assert got.lo == ref.lo == 0.0
+    assert got.hi == pytest.approx(ref.hi, rel=1e-12, abs=0.0)
 
 
 def test_working_interval_unbounded_families_use_domain():
