@@ -60,7 +60,6 @@ from .periodic import (
     GeometricCycle,
     PeriodicSystem,
     compose_array,
-    composition_derivative,
     find_geometric_cycles,
     iterate_orbit,
     make_system,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +30,10 @@ from .models import (
     AxiomReport,
     AxiomViolation,
     PopulationModel,
-    check_axioms_callable,
     verify_population_axioms,
 )
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
-from .periodic import (
-    PeriodicSystem, compose_array, composition_derivative, cycle_grid, phase_cycles,
-)
+from .periodic import PeriodicSystem, compose_array, cycle_grid, phase_cycles
 from .report import plain
 
 __all__ = [
@@ -150,7 +147,7 @@ class LocalStability:
 
 def local_stability(system: PeriodicSystem) -> LocalStability:
     """Multiplier of the period map at x = 1 by the chain rule."""
-    m = composition_derivative(system, 1.0)
+    m = system.period_map(0).deriv(1.0, 1)
     a = abs(m)
     if a < 1.0 - 1e-12:
         verdict = "stable"
@@ -343,23 +340,19 @@ def axiom_gate(
     stops the ladder at the first rung.
     """
 
-    def laddered(report: Callable[[GridConfig], AxiomReport]) -> AxiomReport:
+    def laddered(model: PopulationModel) -> AxiomReport:
         def check(cfg_d: GridConfig):
-            rep = report(cfg_d)
+            rep = verify_population_axioms(model, cfg_d)
             return rep, rep.passed, rep.definite_violation, rep.unresolved
 
         return tangency_ladder(check, cfg)[0]
 
-    maps = tuple(laddered(lambda c, f=f: verify_population_axioms(f, c)) for f in system.maps)
-    phi = lambda t: compose_array(system, t)
-    hi = system.working_interval.hi
-    comp = laddered(lambda c: check_axioms_callable(phi, hi, c, "composition"))
-    gate = maps + (comp,)
+    gate = tuple(laddered(f) for f in (*system.maps, system.period_map(0)))
     failure = (
         "violation" if any(r.definite_violation for r in gate)
         else None if all(r.passed for r in gate) else "unresolved"
     )
-    return maps, comp, failure
+    return gate[:-1], gate[-1], failure
 
 
 def certify_global_stability(
@@ -432,7 +425,7 @@ def certify_global_stability(
 
     fit_intervals = None
     if chosen is None:
-        fit = fit_mobius(system, cfg)
+        fit = fit_mobius(system.maps, cfg)
         fit_intervals = fit.feasible
         if fit.feasible:
             widest = max(fit.feasible, key=lambda ab: ab[1] - ab[0])

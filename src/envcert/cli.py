@@ -231,7 +231,7 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
         return 1 if all(r.failure in ("structural", "violation") for r in records) else 2
 
     if cmd == "mobius-fit":
-        fit = fit_mobius(system, grid, alpha_cells=args.alpha_cells)
+        fit = fit_mobius(system.maps, grid, alpha_cells=args.alpha_cells)
         _emit(cmd, cfg, grid, fit, args)
         if fit.feasible:
             return 0

@@ -17,7 +17,6 @@ import numpy as np
 
 from .models import PopulationModel, _family_compiler, _number, compile_expression
 from .numerics import GridConfig, SignReport, adaptive_sign_check, scan_roots, tangency_ladder
-from .periodic import PeriodicSystem
 
 __all__ = [
     "Envelope",
@@ -277,7 +276,7 @@ class FitReport:
 
 
 def fit_mobius(
-    system: PeriodicSystem, cfg: GridConfig | None = None, alpha_cells: int = 1000
+    maps: tuple[PopulationModel, ...], cfg: GridConfig | None = None, alpha_cells: int = 1000
 ) -> FitReport:
     """Feasible alpha ranges for which the Moebius envelope works.
 
@@ -318,7 +317,7 @@ def fit_mobius(
     if cfg is None:
         cfg = GridConfig()
     runs, failure, delta = tangency_ladder(
-        lambda c: _fit_on_grid(system.maps, c, alpha_cells), cfg
+        lambda c: _fit_on_grid(maps, c, alpha_cells), cfg
     )
     return FitReport(
         feasible=runs,

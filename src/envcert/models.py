@@ -25,7 +25,6 @@ __all__ = [
     "AxiomReport",
     "make_model",
     "verify_population_axioms",
-    "check_axioms_callable",
 ]
 
 FAMILIES = (
@@ -63,8 +62,8 @@ class PopulationModel:
     The callables are vectorized over numpy arrays and evaluate the raw
     formula and its Taylor derivatives without domain checks; eval/deriv
     are the checked scalar entry points.  _natural_hi is the point where
-    the family's map falls back to zero, or None for a map defined on all
-    of [0, inf).
+    the family's map falls back to zero (W's end for a period map, see
+    PeriodicSystem.period_map), or None for a map defined on all of [0, inf).
     """
 
     family: str
@@ -90,7 +89,7 @@ class PopulationModel:
             n = len(self.params["pieces"])
             return f"custom({n} piece{'s' if n != 1 else ''})"
         args = ", ".join(f"{k}={v:g}" for k, v in self.param_items)
-        return f"{self.family}({args})"
+        return f"{self.family}({args})" if args else self.family  # a period map
 
     def eval(self, x: float) -> float:
         x = float(x)
@@ -521,7 +520,7 @@ def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
         ds = tuple(_piecewise(starts, [derivs[k] for _, derivs in compiled]) for k in range(3))
     r0 = abs(float(ev(np.asarray([0.0]))[0]))
     r1 = abs(float(ev(np.asarray([1.0]))[0]) - 1.0)
-    if r0 > 1e-12 or r1 > 1e-12:
+    if not (r0 <= 1e-12 and r1 <= 1e-12):  # so that a NaN residual fails
         raise ValueError(
             f"custom model must satisfy f(0)=0 and f(1)=1 "
             f"(residuals {r0:.2e}, {r1:.2e})"
@@ -604,7 +603,8 @@ class AxiomViolation:
 @dataclass(frozen=True)
 class AxiomReport:
     """The axiom checks of one map or period map at exclusion radius
-    delta_used; the last two fields are set for models only."""
+    delta_used; tail_ok is None where the large-x tail is not checked, on
+    a domain that ends at a natural endpoint, as a period map's does."""
 
     label: str
     passed: bool
@@ -652,36 +652,27 @@ def _collect(report: SignReport | None, axiom: str, out: list[AxiomViolation]) -
             )
 
 
-def _outcome(violations: Sequence[AxiomViolation]) -> dict:
-    """The AxiomReport fields that follow from its violation list."""
-    return dict(
-        passed=not violations,
-        definite_violation=any(v.kind == "violation" for v in violations),
-        violations=tuple(violations),
-    )
-
-
-def check_axioms_callable(
-    fn: Callable[[np.ndarray], np.ndarray],
-    hi: float,
-    cfg: GridConfig,
-    label: str = "map",
+def verify_population_axioms(
+    model: PopulationModel, cfg: GridConfig | None = None
 ) -> AxiomReport:
-    """Population-model sign structure for a raw callable on [0, hi].
-
-    Used both for single maps and for period compositions, at the
-    exclusion radius of cfg.
-    """
+    """Every population-model axiom for a map or a period map on its
+    domain [0, hi], at the exclusion radius of cfg: the fixed points 0
+    and 1, the sign structure against the diagonal, positivity past 1,
+    finite values on [0, 1], the large-x tail (for a map defined on all
+    of [0, inf)) and C^1."""
+    if cfg is None:
+        cfg = GridConfig()
+    fn, hi, label = model._eval, model.domain.hi, model.label
     delta = cfg.exclusion_radius
     violations: list[AxiomViolation] = []
 
     r0 = abs(float(fn(np.asarray([0.0]))[0]))
     r1 = abs(float(fn(np.asarray([1.0]))[0]) - 1.0)
-    if r0 > 1e-12:
+    if not r0 <= 1e-12:  # so that a NaN residual fails
         violations.append(
             AxiomViolation("fixes_origin", "violation", 0.0, r0, f"|{label}(0)| = {r0:.3e}")
         )
-    if r1 > 1e-12:
+    if not r1 <= 1e-12:
         violations.append(
             AxiomViolation("fixes_one", "violation", 1.0, r1, f"|{label}(1) - 1| = {r1:.3e}")
         )
@@ -715,41 +706,18 @@ def check_axioms_callable(
                            f"{label} not finite at x={bad:.6g}")
         )
 
-    return AxiomReport(
-        label=label,
-        **_outcome(violations),
-        fixed_point_residuals=(r0, r1),
-        diagonal_above=above,
-        diagonal_below=below,
-        positivity=positivity,
-        sup_on_unit=sup_unit,
-        delta_used=delta,
-    )
-
-
-def verify_population_axioms(
-    model: PopulationModel, cfg: GridConfig | None = None
-) -> AxiomReport:
-    """Every population-model axiom for one map on its domain: the sign
-    checks of check_axioms_callable, the large-x tail, and C^1."""
-    if cfg is None:
-        cfg = GridConfig()
-    hi = model.domain.hi
-    rep = check_axioms_callable(model._eval, hi, cfg, model.label)
-    violations = list(rep.violations)
-
     tail_ok: bool | None = None
     if model._natural_hi is None:
         tail_ok = True
         for k in range(1, 7):
             pt = hi * 2.0 ** k
-            v = float(model._eval(np.asarray([pt]))[0])
+            v = float(fn(np.asarray([pt]))[0])
             if not (np.isfinite(v) and 0.0 <= v < pt):
                 tail_ok = False
                 violations.append(
                     AxiomViolation(
                         "below_diagonal_tail", "violation", pt, v,
-                        f"{model.label}({pt:g}) = {v:g} not in [0, {pt:g})",
+                        f"{label}({pt:g}) = {v:g} not in [0, {pt:g})",
                     )
                 )
     if not model.is_c1:
@@ -758,4 +726,17 @@ def verify_population_axioms(
                            "not C^1 (breakpoints inside the domain)")
         )
 
-    return replace(rep, **_outcome(violations), tail_ok=tail_ok, is_c1=model.is_c1)
+    return AxiomReport(
+        label=label,
+        passed=not violations,
+        definite_violation=any(v.kind == "violation" for v in violations),
+        violations=tuple(violations),
+        fixed_point_residuals=(r0, r1),
+        diagonal_above=above,
+        diagonal_below=below,
+        positivity=positivity,
+        sup_on_unit=sup_unit,
+        delta_used=delta,
+        tail_ok=tail_ok,
+        is_c1=model.is_c1,
+    )

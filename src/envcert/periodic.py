@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .models import Interval, PopulationModel
+from .models import Interval, PopulationModel, _chain
 from .numerics import GridConfig, scan_grid, scan_roots
 
 __all__ = [
     "PeriodicSystem",
     "make_system",
     "compose_array",
-    "composition_derivative",
     "iterate_orbit",
     "GeometricCycle",
     "cycle_grid",
@@ -39,6 +39,29 @@ class PeriodicSystem:
     @property
     def label(self) -> str:
         return " | ".join(m.label for m in self.maps)
+
+    def period_map(self, i: int = 0) -> PopulationModel:
+        """Phi from phase i, f_{i+p-1} o ... o f_i, as a model on W labelled
+        "composition": compose_array's values, derivatives by the chain rule,
+        a breakpoint wherever a partial orbit meets a map's breakpoint, and
+        W's end as its natural end, so the axiom checks skip the tail."""
+        p, hi = self.period, self.working_interval.hi
+        kinks: list[float] = []
+        for j in range(p):
+            for b in self.maps[(i + j) % p].breakpoints:
+                # the roots of Phi_j - b on W, where Phi_0 is the identity
+                g = lambda t, j=j, b=b: compose_array(self, t, j, i) - b
+                kinks += [b] if j == 0 else scan_roots(g, (0.0, hi)).tolist()
+        return PopulationModel(
+            family="composition",
+            param_items=(),
+            domain=self.working_interval,
+            breakpoints=tuple(sorted(x for x in kinks if x <= hi)),
+            smooth=all(f.smooth for f in self.maps),
+            _eval=lambda x: compose_array(self, x, i=i),
+            _derivs=tuple(partial(_period_derivative, self, i, k) for k in (1, 2, 3)),
+            _natural_hi=hi,
+        )
 
 
 def _proper_divisors(n: int) -> list[int]:
@@ -126,14 +149,16 @@ def compose_array(
     return val
 
 
-def composition_derivative(system: PeriodicSystem, x: float) -> float:
-    """(Phi_p)'(x) by the chain rule over one period from phase 0."""
-    prod = 1.0
-    val = float(x)
-    for f in system.maps:
-        prod *= f.deriv(val, 1)
-        val = f.eval(val)
-    return prod
+def _period_derivative(system: PeriodicSystem, i: int, k: int, x: np.ndarray) -> np.ndarray:
+    """Phi's derivative of order k from phase i: the maps' Taylor series
+    (f, f', f''/2, f'''/6), cut after k + 1 terms, folded by the chain rule."""
+    s = [np.asarray(x, dtype=float), 1.0]
+    with np.errstate(all="ignore"):
+        for t in range(system.period):
+            f = system.maps[(i + t) % system.period]
+            g = [f._eval(s[0])] + [f._derivs[m](s[0]) / math.factorial(m + 1) for m in range(k)]
+            s = _chain(g, s, k + 1)
+    return math.factorial(k) * s[k]
 
 
 def _checked_walk(system: PeriodicSystem, x0: float, n: int, i: int = 0) -> list[float]:

@@ -183,7 +183,7 @@ def test_common_envelope_over_mixed_system():
 
 def test_fit_interval_contains_known_alpha():
     f = make_model("ricker", {"r": 1.8})
-    rep = fit_mobius(make_system([f]), alpha_cells=200)
+    rep = fit_mobius((f,), alpha_cells=200)
     assert not rep.empty
     assert any(lo <= 0.5 <= hi for lo, hi in rep.feasible)
     assert rep.alpha_step == pytest.approx(1.0 / 200.0)
@@ -191,7 +191,7 @@ def test_fit_interval_contains_known_alpha():
 
 def test_fit_bh_contains_map_specific_alpha():
     f = make_model("beverton-holt", {"mu": 7.0, "c": 2.3})
-    rep = fit_mobius(make_system([f]), alpha_cells=200)
+    rep = fit_mobius((f,), alpha_cells=200)
     target = (2.3 - 2.0) / (2.3 - 1.0)
     assert any(lo <= target <= hi for lo, hi in rep.feasible)
 
@@ -242,7 +242,7 @@ def _matches_scan(rep, system, cfg=None, alpha_cells=1000):
 def test_fit_matches_linear_scan_on_bundled_configs(name):
     cfg = _load_config(name)
     system = config_to_system(cfg)
-    assert _matches_scan(fit_mobius(system, cfg.grid, 200), system, cfg.grid, 200)
+    assert _matches_scan(fit_mobius(system.maps, cfg.grid, 200), system, cfg.grid, 200)
 
 
 _FAMILIES = {
@@ -268,7 +268,7 @@ def test_fit_matches_linear_scan_on_family_systems(maps, delta):
     except ValueError:  # e.g. a steep map whose image leaves its domain
         assume(False)
     cfg = GridConfig(seed_cells=256, exclusion_radius=delta)
-    assert _matches_scan(fit_mobius(system, cfg, 100), system, cfg, 100)
+    assert _matches_scan(fit_mobius(system.maps, cfg, 100), system, cfg, 100)
 
 
 @pytest.mark.parametrize("maps, cfg", [
@@ -285,7 +285,7 @@ def test_fit_matches_linear_scan_on_family_systems(maps, delta):
         "exprat+ricker", "ricker-vacuous-outside"])
 def test_fit_matches_linear_scan_on_family_examples(maps, cfg):
     system = make_system(maps)
-    rep = fit_mobius(system, cfg, 200)
+    rep = fit_mobius(system.maps, cfg, 200)
     assert _matches_scan(rep, system, cfg, 200)
     assert not rep.empty
 
@@ -309,7 +309,7 @@ def test_empty_fit_costs_one_bisection(monkeypatch):
     cfg = _load_config("bh_counterexample")
     system = config_to_system(cfg)
     calls = _count_sign_checks(monkeypatch)
-    rep = fit_mobius(system, cfg.grid, 1000)
+    rep = fit_mobius(system.maps, cfg.grid, 1000)
     assert rep.empty
     assert rep.failure == "violation"
     assert len(calls) <= (math.ceil(math.log2(1000 + 1)) + 1) * system.period
@@ -323,7 +323,7 @@ def test_rescued_fit_probes_only_its_window(monkeypatch):
     f = make_model("exponential-rational", {"a": 0.32, "b": 2.48})
     calls = _count_sign_checks(monkeypatch)
     n = 1000
-    rep = fit_mobius(make_system([f]), alpha_cells=n)
+    rep = fit_mobius((f,), alpha_cells=n)
     assert len(rep.feasible) == 1
     lo, hi = rep.feasible[0]
     assert lo > 0.5
@@ -362,7 +362,7 @@ def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):
     system = make_system([f])
     expected = _scan_fit(system, alpha_cells=40)
     calls = _count_sign_checks(monkeypatch)
-    rep = fit_mobius(system, alpha_cells=40)
+    rep = fit_mobius(system.maps, alpha_cells=40)
     assert (rep.feasible, rep.alpha_step) == expected
     assert (rep.delta_used, rep.failure) == (1e-4, None)
     assert rep.feasible[0][0] > 0.3
@@ -388,7 +388,7 @@ def test_fit_keeps_feasible_alphas_below_an_unresolved_probe(monkeypatch):
 
     monkeypatch.setattr(envelopes_mod, "_outside_leg", unresolved_at_half)
     system = make_system([f])
-    rep = fit_mobius(system, alpha_cells=40)
+    rep = fit_mobius(system.maps, alpha_cells=40)
     assert rep.feasible == ((0.0, 0.4875), (0.5125, 0.975))
     assert _matches_scan(rep, system, alpha_cells=40)
 
@@ -407,16 +407,26 @@ def test_fit_stops_at_the_first_outside_violation(monkeypatch):
         return replace(out, status="violation", witness=1.5, witness_value=-0.1)
 
     monkeypatch.setattr(envelopes_mod, "_outside_leg", violation_at)
-    rep = fit_mobius(make_system([f]), alpha_cells=40)
+    rep = fit_mobius((f,), alpha_cells=40)
     assert rep.feasible == ((0.6125, 0.975),)
     assert (rep.delta_used, rep.failure) == (1e-4, None)
+
+
+def test_fit_on_the_period_map():
+    # no common envelope exists for r = 2.3 and 1.0, but Phi itself is
+    # enveloped: the fit takes the period map like any other model
+    system = make_system([make_model("ricker", {"r": 2.3}), make_model("ricker", {"r": 1.0})])
+    assert fit_mobius(system.maps).empty
+    rep = fit_mobius((system.period_map(0),))
+    assert rep.feasible == ((0.299, 0.999),)
+    assert rep.failure is None
 
 
 def test_fit_rejects_empty_grid():
     f = make_model("ricker", {"r": 1.8})
     for cells in (0, -5):
         with pytest.raises(ValueError, match="alpha_cells must be at least 1"):
-            fit_mobius(make_system([f]), alpha_cells=cells)
+            fit_mobius((f,), alpha_cells=cells)
 
 
 def test_envelope_labels():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,13 @@ def test_custom_rejects_wrong_fixed_points():
         make_model("custom", pieces=[(0.0, "2*x")])
 
 
+def test_custom_rejects_nan_at_a_fixed_point():
+    # x * x**-0.5 is 0 * inf = nan at 0, and (x - 1) log|x - 1| is nan at 1
+    for expr in ("x*x**-0.5", "x + (x - 1)*log(Abs(x - 1))"):
+        with pytest.raises(ValueError, match="f\\(0\\)=0 and f\\(1\\)=1"):
+            make_model("custom", pieces=[(0.0, expr)])
+
+
 def test_custom_piece_validation():
     with pytest.raises(ValueError, match="at least one piece"):
         make_model("custom", pieces=[])
@@ -398,6 +406,15 @@ def test_axioms_fail_for_identity():
     assert not rep.passed
     axioms = {v.axiom for v in rep.violations}
     assert any("above_diagonal" in a for a in axioms)
+
+
+def test_axioms_flag_nan_at_a_fixed_point():
+    f = make_model("ricker", {"r": 1.5})
+    for at, axiom in ((0.0, "fixes_origin"), (1.0, "fixes_one")):
+        g = replace(f, _eval=lambda x, at=at: np.where(x == at, np.nan, f.eval_array(x)))
+        rep = verify_population_axioms(g)
+        assert axiom in {v.axiom for v in rep.violations if v.kind == "violation"}
+        assert not rep.passed
 
 
 def test_axioms_hold_for_overcompensating_quadratic():

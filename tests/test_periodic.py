@@ -14,7 +14,6 @@ from envcert import (
     Interval,
     PeriodicSystem,
     compose_array,
-    composition_derivative,
     find_geometric_cycles,
     iterate_orbit,
     make_model,
@@ -75,15 +74,88 @@ def test_multiplier_is_product_of_slopes():
         make_model("beverton-holt", {"mu": 3.0, "c": 1.0}),
     ])
     # (1 - 1.5) * (1 - 2/3) = -1/6
-    assert composition_derivative(mix, 1.0) == pytest.approx(-1.0 / 6.0, abs=1e-14)
+    assert mix.period_map(0).deriv(1.0, 1) == pytest.approx(-1.0 / 6.0, abs=1e-14)
 
 
 def test_composition_derivative_matches_fd():
     sys3 = ricker_system(1.8, 1.2, 0.5)
     for x in (0.3, 0.9, 1.4):
-        an = composition_derivative(sys3, x)
+        an = sys3.period_map(0).deriv(x, 1)
         fd = fd_derivative(lambda t: compose_array(sys3, np.asarray([t]))[0], x, 1)
         assert fd == pytest.approx(an, rel=1e-7)
+
+
+def _composition_derivative(system, x):
+    """(Phi_p)'(x) by the chain rule over one period from phase 0, one
+    scalar step at a time: how the multiplier was taken before the period
+    map became a model.  The reference for period_map(0).deriv."""
+    prod = 1.0
+    val = float(x)
+    for f in system.maps:
+        prod *= f.deriv(val, 1)
+        val = f.eval(val)
+    return prod
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_period_map_multiplier_equals_the_scalar_chain_rule(name):
+    system = config_to_system(_load_config(name))
+    phi = system.period_map(0)
+    if name == "piecewise_pair":  # 1 is a breakpoint of both maps
+        for slope in (phi.deriv, lambda x: _composition_derivative(system, x)):
+            with pytest.raises(ValueError, match="undefined at breakpoint x=1"):
+                slope(1.0)
+        return
+    assert phi.deriv(1.0) == _composition_derivative(system, 1.0)
+
+
+_FD_TOL = {1: 1e-8, 2: 1e-6, 3: 1e-3}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_period_map_jets_match_fd(name):
+    system = config_to_system(_load_config(name))
+    phi = system.period_map(0)
+    hi = min(system.working_interval.hi, 3.0)
+    g = lambda t: float(phi.eval_array(np.asarray([t]))[0])
+    kinks = np.asarray(phi.breakpoints)
+    checked = 0
+    for x in np.linspace(0.1, hi - 0.05, 23):
+        # the widest stencil, for order 3, reaches 2 * 7e-3 * max(1, x)
+        if np.any(np.abs(kinks - x) <= 0.05 * max(1.0, x)):
+            continue
+        checked += 1
+        for order in (1, 2, 3):
+            an = float(phi.deriv_array(np.asarray([x]), order)[0])
+            fd = fd_derivative(g, float(x), order)
+            # the stencils' truncation error grows with the order: the worst
+            # bundled case, order 3 at x = 0.1 on ricker_triple, is 2.6e-4
+            assert abs(fd - an) <= _FD_TOL[order] * max(1.0, abs(an)), (x, order)
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_period_map_values_are_the_composition(name):
+    system = config_to_system(_load_config(name))
+    xs = cycle_grid(system, GridConfig(seed_cells=512))
+    for i in range(system.period):
+        phi = system.period_map(i)
+        assert phi.label == "composition"
+        assert phi.domain == system.working_interval
+        assert np.array_equal(phi.eval_array(xs), compose_array(system, xs, system.period, i),
+                              equal_nan=True)
+
+
+def test_period_map_breakpoints_follow_the_orbits():
+    system = config_to_system(_load_config("piecewise_pair"))
+    kinks = system.period_map(0).breakpoints
+    assert list(kinks) == sorted(kinks)
+    # 4 x = 0.5 meets the second map's breakpoint; 1 is both maps'
+    assert any(x == pytest.approx(0.125, abs=1e-12) for x in kinks)
+    assert any(x == pytest.approx(1.0, abs=1e-9) for x in kinks)
+    assert not system.period_map(0).is_c1
+    smooth = ricker_system(1.5, 1.2).period_map(1)
+    assert smooth.is_c1 and smooth.smooth
 
 
 def test_working_interval_caps_at_image_for_humped_maps():
