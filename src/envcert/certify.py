@@ -147,7 +147,7 @@ class LocalStability:
 
 def local_stability(system: PeriodicSystem) -> LocalStability:
     """Multiplier of the period map at x = 1 by the chain rule."""
-    m = system.period_map(0).deriv(1.0, 1)
+    m = system.period_map.deriv(1.0, 1)
     a = abs(m)
     if a < 1.0 - 1e-12:
         verdict = "stable"
@@ -347,7 +347,7 @@ def axiom_gate(
 
         return tangency_ladder(check, cfg)[0]
 
-    gate = tuple(laddered(f) for f in (*system.maps, system.period_map(0)))
+    gate = tuple(laddered(f) for f in (*system.maps, system.period_map))
     failure = (
         "violation" if any(r.definite_violation for r in gate)
         else None if all(r.passed for r in gate) else "unresolved"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +40,19 @@ class PeriodicSystem:
     def label(self) -> str:
         return " | ".join(m.label for m in self.maps)
 
-    def period_map(self, i: int = 0) -> PopulationModel:
-        """Phi from phase i, f_{i+p-1} o ... o f_i, as a model on W labelled
-        "composition": compose_array's values, derivatives by the chain rule,
-        a breakpoint wherever a partial orbit meets a map's breakpoint, and
-        W's end as its natural end, so the axiom checks skip the tail."""
-        p, hi = self.period, self.working_interval.hi
+    @cached_property
+    def period_map(self) -> PopulationModel:
+        """Phi = f_{p-1} o ... o f_0 as a model on W labelled "composition":
+        compose_array's values, derivatives by the chain rule, a breakpoint
+        wherever a partial orbit meets a map's breakpoint, and W's end as its
+        natural end, so the axiom checks skip the tail.  Built once per
+        system, so its breakpoint scans run once."""
+        hi = self.working_interval.hi
         kinks: list[float] = []
-        for j in range(p):
-            for b in self.maps[(i + j) % p].breakpoints:
+        for j, f in enumerate(self.maps):
+            for b in f.breakpoints:
                 # the roots of Phi_j - b on W, where Phi_0 is the identity
-                g = lambda t, j=j, b=b: compose_array(self, t, j, i) - b
+                g = lambda t, j=j, b=b: compose_array(self, t, j) - b
                 kinks += [b] if j == 0 else scan_roots(g, (0.0, hi)).tolist()
         return PopulationModel(
             family="composition",
@@ -58,8 +60,8 @@ class PeriodicSystem:
             domain=self.working_interval,
             breakpoints=tuple(sorted(x for x in kinks if x <= hi)),
             smooth=all(f.smooth for f in self.maps),
-            _eval=lambda x: compose_array(self, x, i=i),
-            _derivs=tuple(partial(_period_derivative, self, i, k) for k in (1, 2, 3)),
+            _eval=partial(compose_array, self),
+            _derivs=tuple(partial(_period_derivative, self, k) for k in (1, 2, 3)),
             _natural_hi=hi,
         )
 
@@ -149,13 +151,12 @@ def compose_array(
     return val
 
 
-def _period_derivative(system: PeriodicSystem, i: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Phi's derivative of order k from phase i: the maps' Taylor series
+def _period_derivative(system: PeriodicSystem, k: int, x: np.ndarray) -> np.ndarray:
+    """Phi's derivative of order k: the maps' Taylor series
     (f, f', f''/2, f'''/6), cut after k + 1 terms, folded by the chain rule."""
     s = [np.asarray(x, dtype=float), 1.0]
     with np.errstate(all="ignore"):
-        for t in range(system.period):
-            f = system.maps[(i + t) % system.period]
+        for f in system.maps:
             g = [f._eval(s[0])] + [f._derivs[m](s[0]) / math.factorial(m + 1) for m in range(k)]
             s = _chain(g, s, k + 1)
     return math.factorial(k) * s[k]

@@ -138,7 +138,7 @@ def test_criterion_4():
     assert all(not f.is_c1 for f in maps)
 
     system = make_system(maps)
-    violations = verify_population_axioms(system.period_map(0), GridConfig()).violations
+    violations = verify_population_axioms(system.period_map, GridConfig()).violations
     above = [
         v
         for v in violations

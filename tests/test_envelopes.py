@@ -417,7 +417,7 @@ def test_fit_on_the_period_map():
     # enveloped: the fit takes the period map like any other model
     system = make_system([make_model("ricker", {"r": 2.3}), make_model("ricker", {"r": 1.0})])
     assert fit_mobius(system.maps).empty
-    rep = fit_mobius((system.period_map(0),))
+    rep = fit_mobius((system.period_map,))
     assert rep.feasible == ((0.299, 0.999),)
     assert rep.failure is None
 

@@ -74,13 +74,13 @@ def test_multiplier_is_product_of_slopes():
         make_model("beverton-holt", {"mu": 3.0, "c": 1.0}),
     ])
     # (1 - 1.5) * (1 - 2/3) = -1/6
-    assert mix.period_map(0).deriv(1.0, 1) == pytest.approx(-1.0 / 6.0, abs=1e-14)
+    assert mix.period_map.deriv(1.0, 1) == pytest.approx(-1.0 / 6.0, abs=1e-14)
 
 
 def test_composition_derivative_matches_fd():
     sys3 = ricker_system(1.8, 1.2, 0.5)
     for x in (0.3, 0.9, 1.4):
-        an = sys3.period_map(0).deriv(x, 1)
+        an = sys3.period_map.deriv(x, 1)
         fd = fd_derivative(lambda t: compose_array(sys3, np.asarray([t]))[0], x, 1)
         assert fd == pytest.approx(an, rel=1e-7)
 
@@ -88,7 +88,7 @@ def test_composition_derivative_matches_fd():
 def _composition_derivative(system, x):
     """(Phi_p)'(x) by the chain rule over one period from phase 0, one
     scalar step at a time: how the multiplier was taken before the period
-    map became a model.  The reference for period_map(0).deriv."""
+    map became a model.  The reference for period_map.deriv."""
     prod = 1.0
     val = float(x)
     for f in system.maps:
@@ -100,7 +100,7 @@ def _composition_derivative(system, x):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_period_map_multiplier_equals_the_scalar_chain_rule(name):
     system = config_to_system(_load_config(name))
-    phi = system.period_map(0)
+    phi = system.period_map
     if name == "piecewise_pair":  # 1 is a breakpoint of both maps
         for slope in (phi.deriv, lambda x: _composition_derivative(system, x)):
             with pytest.raises(ValueError, match="undefined at breakpoint x=1"):
@@ -115,7 +115,9 @@ _FD_TOL = {1: 1e-8, 2: 1e-6, 3: 1e-3}
 @pytest.mark.parametrize("name", BUNDLED)
 def test_period_map_jets_match_fd(name):
     system = config_to_system(_load_config(name))
-    phi = system.period_map(0)
+    phi = system.period_map
+    assert phi.label == "composition"
+    assert phi.domain == system.working_interval
     hi = min(system.working_interval.hi, 3.0)
     g = lambda t: float(phi.eval_array(np.asarray([t]))[0])
     kinks = np.asarray(phi.breakpoints)
@@ -134,28 +136,28 @@ def test_period_map_jets_match_fd(name):
     assert checked >= 10
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_period_map_values_are_the_composition(name):
-    system = config_to_system(_load_config(name))
-    xs = cycle_grid(system, GridConfig(seed_cells=512))
-    for i in range(system.period):
-        phi = system.period_map(i)
-        assert phi.label == "composition"
-        assert phi.domain == system.working_interval
-        assert np.array_equal(phi.eval_array(xs), compose_array(system, xs, system.period, i),
-                              equal_nan=True)
-
-
 def test_period_map_breakpoints_follow_the_orbits():
     system = config_to_system(_load_config("piecewise_pair"))
-    kinks = system.period_map(0).breakpoints
+    kinks = system.period_map.breakpoints
     assert list(kinks) == sorted(kinks)
     # 4 x = 0.5 meets the second map's breakpoint; 1 is both maps'
     assert any(x == pytest.approx(0.125, abs=1e-12) for x in kinks)
     assert any(x == pytest.approx(1.0, abs=1e-9) for x in kinks)
-    assert not system.period_map(0).is_c1
-    smooth = ricker_system(1.5, 1.2).period_map(1)
+    assert not system.period_map.is_c1
+    smooth = ricker_system(1.5, 1.2).period_map
     assert smooth.is_c1 and smooth.smooth
+
+
+def test_certify_builds_the_period_map_once(monkeypatch):
+    # the axiom gate and the multiplier share one Phi, so each breakpoint
+    # of the second map is scanned for once
+    system = config_to_system(_load_config("piecewise_pair"))
+    calls = []
+    real = periodic.scan_roots
+    monkeypatch.setattr(periodic, "scan_roots", lambda *a, **k: calls.append(a) or real(*a, **k))
+    certify.certify_global_stability(system)
+    assert len(calls) == len(system.maps[1].breakpoints) == 2
+    assert system.period_map is system.period_map
 
 
 def test_working_interval_caps_at_image_for_humped_maps():
