@@ -240,7 +240,7 @@ def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:
     if cmd == "cycles":
         cycles = find_geometric_cycles(system, args.r_max, grid)
         # 0 when Phi fixes it, then the phase-0 point of each 1-cycle
-        fixed = [0.0] if abs(float(compose_array(system, np.zeros(1))[0])) <= 1e-9 else []
+        fixed = [0.0] if abs(float(compose_array(system, 0.0))) <= 1e-9 else []
         fixed += [c.points[0] for c in cycles if c.period_count == 1 and c.start_phase == 0]
         result = {
             "fixed_points": fixed,

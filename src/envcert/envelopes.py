@@ -48,10 +48,10 @@ class Envelope:
     _slope: Callable = field(default=None, repr=False, compare=False)  # h'
 
     def eval(self, x: float) -> float:
-        return float(self._eval(np.asarray([x]))[0])
+        return float(self._eval(np.float64(x)))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return self._eval(np.asarray(x, dtype=float))
+        return self._eval(x)
 
 
 @dataclass(frozen=True)
@@ -114,19 +114,32 @@ def make_piecewise_bh(c: float) -> Envelope:
     return replace(make_mobius((c - 2.0) / (c - 1.0)), label=f"piecewise-bh(c={c:g})")
 
 
-def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
-    """Envelope from an expression in x; x_h found by scan when not given.
+def _is_first_root(ev: Callable, slope: Callable, x_h: float) -> bool:
+    """Whether x_h is the first root of h past 1: x_h > 1, |h(x_h)| <= 1e-9
+    max(1, |h'(x_h)| x_h), and no sign change of h on (1, x_h (1 - 1e-9)).
+    h(x_h) carries the rounding of x_h scaled by |h'(x_h)|, which is about
+    1e8 at the root of a custom Moebius h with alpha = 1 - 1e-4."""
+    return (x_h > 1.0 and abs(ev(x_h)) <= 1e-9 * max(1.0, abs(slope(x_h)) * x_h)
+            and all(r >= x_h * (1.0 - 1e-9) for r in scan_roots(ev, (1.0, x_h), 8192)))
 
-    A given finite x_h must be the first root of h past 1: x_h > 1,
-    |h(x_h)| <= 1e-9, and no sign change of h on (1, x_h (1 - 1e-9)).
+
+def make_custom_envelope(expr: str, x_h: float | None = None) -> Envelope:
+    """Envelope from an expression in x, with x_h its first root past 1.
+
+    A given finite x_h must pass _is_first_root.  Without one, x_h is h(0)
+    when that passes, as it does for an involution, which maps its root to
+    0 and so 0 to its root; else the first root of a scan of (1, 50), or
+    inf.  The scan alone misses a root that shares a cell with a pole, as
+    in a custom Moebius h with alpha >= 0.99.
     """
     ev, derivs = compile_expression(expr)
     if x_h is None:
-        roots = scan_roots(ev, (1.0 + 1e-9, 50.0), 8192)
-        x_h = float(roots[0]) if roots.size else np.inf
+        x_h = float(ev(0.0))
+        if not (np.isfinite(x_h) and _is_first_root(ev, derivs[0], x_h)):
+            roots = scan_roots(ev, (1.0 + 1e-9, 50.0), 8192)
+            x_h = float(roots[0]) if roots.size else np.inf
     elif np.isfinite(x_h := _number(x_h, "x_h", allow_inf=True)):
-        if not (x_h > 1.0 and abs(ev(np.asarray([x_h]))[0]) <= 1e-9
-                and all(r >= x_h * (1.0 - 1e-9) for r in scan_roots(ev, (1.0, x_h), 8192))):
+        if not _is_first_root(ev, derivs[0], x_h):
             raise ValueError(f"x_h = {x_h:g} is not the first root of h past 1")
     return Envelope(
         kind="custom",

@@ -59,10 +59,11 @@ class Interval:
 class PopulationModel:
     """One map of a periodic system, compiled from one formula per piece.
 
-    The callables are vectorized over numpy arrays and evaluate the raw
-    formula and its Taylor derivatives without domain checks; eval/deriv
-    are the checked scalar entry points.  _natural_hi is the point where
-    the family's map falls back to zero (W's end for a period map, see
+    The callables evaluate the raw formula and its Taylor derivatives
+    without domain checks, on an array or on one point (a float, which
+    gives an np.float64; see _vectorize); eval/deriv are the checked
+    scalar entry points.  _natural_hi is the point where the family's map
+    falls back to zero (W's end for a period map, see
     PeriodicSystem.period_map), or None for a map defined on all of [0, inf).
     """
 
@@ -98,10 +99,10 @@ class PopulationModel:
             raise ValueError(
                 f"x={x} outside domain [0, {self.domain.hi:g}] of {self.label}"
             )
-        return float(self._eval(np.asarray([x]))[0])
+        return float(self._eval(x))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return self._eval(np.asarray(x, dtype=float))
+        return self._eval(x)
 
     def deriv(self, x: float, order: int = 1) -> float:
         if order not in (1, 2, 3):
@@ -118,12 +119,12 @@ class PopulationModel:
                 )
         if order > 1 and not self.smooth:
             raise ValueError(f"{self.label} is not C^3")
-        return float(self._derivs[order - 1](np.asarray([x]))[0])
+        return float(self._derivs[order - 1](x))
 
     def deriv_array(self, x: np.ndarray, order: int = 1) -> np.ndarray:
         if order not in (1, 2, 3):
             raise ValueError("order must be 1, 2, or 3")
-        return self._derivs[order - 1](np.asarray(x, dtype=float))
+        return self._derivs[order - 1](x)
 
 
 def _number(value, what: str, allow_inf: bool = False) -> float:
@@ -215,6 +216,11 @@ def _piecewise(starts: Sequence[float], funcs: Sequence[Callable]) -> Callable:
     bounds = list(starts[1:]) + [np.inf]
 
     def fn(x):
+        if isinstance(x, float):  # one point: only its own piece runs
+            for start, hi, f in zip(starts, bounds, funcs):
+                if start <= x < hi or (start == 0.0 and x < 0.0):
+                    return f(x)
+            return np.float64(np.nan)
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, np.nan)
         for start, hi, f in zip(starts, bounds, funcs):
@@ -412,6 +418,56 @@ def _taylor(node: ast.AST, x: np.ndarray, n: int, namespace: dict) -> list:
     return _call("exp", _mul(b, _call("log", a, n), n), n)
 
 
+def _has_x(node: ast.AST) -> bool:
+    return any(isinstance(v, ast.Name) and v.id == "x" for v in ast.walk(node))
+
+
+_POINT_POWERS = {"_pow": np.power, "_pow_x": lambda a, b: np.power(a, np.full(1, b))[0]}
+
+
+def _point_tree(node: ast.AST) -> ast.AST:
+    """A checked tree to run with x an np.float64, giving the bits that
+    the tree gives on an array.  +, -, *, / round alike on scalars and
+    arrays, and exp, log, sqrt and Abs run the same ufunc loop.  But
+    np.float64 ** np.float64 is libm's pow, which rounds some values apart
+    from numpy's power loop, so each power of x calls _POINT_POWERS.  The
+    loop takes fast paths (sqrt for 0.5, square for 2) for a scalar
+    exponent, as on a grid when the exponent is a constant; an exponent in
+    x goes in as a one-element array, as on a grid, where it is an array."""
+    if isinstance(node, ast.UnaryOp):
+        return ast.UnaryOp(node.op, _point_tree(node.operand))
+    if isinstance(node, ast.Call):
+        return ast.Call(node.func, [_point_tree(node.args[0])], [])
+    if not isinstance(node, ast.BinOp):
+        return node
+    left, right = _point_tree(node.left), _point_tree(node.right)
+    if isinstance(node.op, ast.Pow) and _has_x(node):
+        power = "_pow_x" if _has_x(node.right) else "_pow"
+        return ast.Call(ast.Name(power, ast.Load()), [left, right], [])
+    return ast.BinOp(left, node.op, right)
+
+
+def _vectorize(fn: Callable, at_point: Callable | None = None) -> Callable:
+    """fn over arrays, silent on floating-point errors.  A point (a float)
+    goes to at_point as an np.float64, or without one to fn as a
+    one-element array.  A point skips the ufunc and array overhead of a
+    one-element array, and gives the bits an array does: see _point_tree."""
+    def call(x):
+        if isinstance(x, float):
+            if at_point is None:
+                return call(np.full(1, x))[0]
+            with np.errstate(all="ignore"):
+                return at_point(np.float64(x))
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            r = np.asarray(fn(x), dtype=float)
+        if r.shape != x.shape:
+            r = np.broadcast_to(r, x.shape).copy()
+        return r
+
+    return call
+
+
 def _compiler(expr_str: str, names: tuple[str, ...] = ()) -> Callable:
     """Parse and check an expression in x and the parameter names once.
 
@@ -420,26 +476,15 @@ def _compiler(expr_str: str, names: tuple[str, ...] = ()) -> Callable:
     """
     tree, constants = _check_expression(expr_str, names)
     code = compile(tree, "<expression>", "eval")
+    point_tree = ast.fix_missing_locations(ast.Expression(_point_tree(tree.body)))
+    point_code = compile(point_tree, "<expression>", "eval")
 
-    def vec(fn):
-        def call(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(all="ignore"):
-                r = np.asarray(fn(x), dtype=float)
-            if r.shape != x.shape:
-                r = np.broadcast_to(r, x.shape).copy()
-            return r
-
-        return call
-
-    kinked = any(
-        isinstance(node, ast.Call) and node.func.id == "Abs"
-        and any(isinstance(v, ast.Name) and v.id == "x" for v in ast.walk(node))
-        for node in ast.walk(tree)
-    )
+    kinked = any(isinstance(node, ast.Call) and node.func.id == "Abs" and _has_x(node)
+                 for node in ast.walk(tree))
 
     def bind(values: Mapping) -> tuple:
         namespace = {**constants, **{k: np.float64(v) for k, v in values.items()}}
+        point_namespace = {**namespace, **_POINT_POWERS}
 
         def derivative(k: int):
             if k > 1 and kinked:
@@ -458,8 +503,11 @@ def _compiler(expr_str: str, names: tuple[str, ...] = ()) -> Callable:
 
             return deriv
 
-        value = vec(lambda x: eval(code, namespace, {"x": x}))
-        return value, tuple(vec(derivative(k)) for k in (1, 2, 3))
+        value = _vectorize(lambda x: eval(code, namespace, {"x": x}),
+                           lambda x: eval(point_code, point_namespace, {"x": x}))
+        # a derivative takes a point as a one-element array: on a 0-d
+        # value, _taylor's powers a0 ** (c - m) would be libm's pow
+        return value, tuple(_vectorize(derivative(k)) for k in (1, 2, 3))
 
     return bind
 
@@ -518,8 +566,8 @@ def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
     else:
         ev = _piecewise(starts, [value for value, _ in compiled])
         ds = tuple(_piecewise(starts, [derivs[k] for _, derivs in compiled]) for k in range(3))
-    r0 = abs(float(ev(np.asarray([0.0]))[0]))
-    r1 = abs(float(ev(np.asarray([1.0]))[0]) - 1.0)
+    r0 = abs(float(ev(0.0)))
+    r1 = abs(float(ev(1.0)) - 1.0)
     if not (r0 <= 1e-12 and r1 <= 1e-12):  # so that a NaN residual fails
         raise ValueError(
             f"custom model must satisfy f(0)=0 and f(1)=1 "
@@ -666,8 +714,8 @@ def verify_population_axioms(
     delta = cfg.exclusion_radius
     violations: list[AxiomViolation] = []
 
-    r0 = abs(float(fn(np.asarray([0.0]))[0]))
-    r1 = abs(float(fn(np.asarray([1.0]))[0]) - 1.0)
+    r0 = abs(float(fn(0.0)))
+    r1 = abs(float(fn(1.0)) - 1.0)
     if not r0 <= 1e-12:  # so that a NaN residual fails
         violations.append(
             AxiomViolation("fixes_origin", "violation", 0.0, r0, f"|{label}(0)| = {r0:.3e}")
@@ -711,7 +759,7 @@ def verify_population_axioms(
         tail_ok = True
         for k in range(1, 7):
             pt = hi * 2.0 ** k
-            v = float(fn(np.asarray([pt]))[0])
+            v = float(fn(pt))
             if not (np.isfinite(v) and 0.0 <= v < pt):
                 tail_ok = False
                 violations.append(

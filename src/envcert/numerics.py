@@ -337,10 +337,11 @@ def scan_roots(
     """All sign-change roots of g on an interval, one per bracket.
 
     Samples g on scan_grid(interval, seed_cells), refines each
-    sign-change bracket with bracketed_root, keeps exact zeros at grid
-    points, and merges duplicates.  Roots where g touches zero without
-    changing sign are not detected.  values, if given, holds g on that
-    grid, so a caller that has them already saves the evaluation.
+    sign-change bracket with bracketed_root on g at one point (an
+    np.float64), keeps exact zeros at grid points, and merges duplicates.
+    Roots where g touches zero without changing sign are not detected.
+    values, if given, holds g on that grid, so a caller that has them
+    already saves the evaluation.
 
     known holds roots of g the caller already has.  A bracket [a, b]
     that holds exactly one known root s is not refined, and gives no
@@ -367,7 +368,7 @@ def scan_roots(
     known = sorted(known)
     if known:
         crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(known))]
-    g1 = lambda t: float(g(np.asarray([t]))[0])
+    at_point = lambda t: g(np.float64(t))
     out: list[float] = []
     z = c = 0
     while z < len(zeros) or c < len(crosses):
@@ -378,7 +379,7 @@ def scan_roots(
             z += 1
         else:
             i = crosses[c]
-            r = bracketed_root(g1, xs[i], xs[i + 1])
+            r = bracketed_root(at_point, xs[i], xs[i + 1])
             c += 1
         if out and r - out[-1] <= max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r))):
             continue

@@ -141,11 +141,12 @@ def make_system(models: Sequence[PopulationModel]) -> PeriodicSystem:
 def compose_array(
     system: PeriodicSystem, x: np.ndarray, n: int | None = None, i: int = 0
 ) -> np.ndarray:
-    """Raw vectorized Phi_n from phase i, no domain checks."""
+    """Raw Phi_n from phase i, no domain checks, on an array or on one
+    point, a float, which gives an np.float64 (see models._vectorize)."""
     p = system.period
     if n is None:
         n = p
-    val = np.asarray(x, dtype=float)
+    val = np.float64(x) if isinstance(x, float) else np.asarray(x, dtype=float)
     for t in range(n):
         val = system.maps[(i + t) % p].eval_array(val)
     return val
@@ -154,7 +155,7 @@ def compose_array(
 def _period_derivative(system: PeriodicSystem, k: int, x: np.ndarray) -> np.ndarray:
     """Phi's derivative of order k: the maps' Taylor series
     (f, f', f''/2, f'''/6), cut after k + 1 terms, folded by the chain rule."""
-    s = [np.asarray(x, dtype=float), 1.0]
+    s = [x, 1.0]
     with np.errstate(all="ignore"):
         for f in system.maps:
             g = [f._eval(s[0])] + [f._derivs[m](s[0]) / math.factorial(m + 1) for m in range(k)]
@@ -230,7 +231,7 @@ def _cycle_through(
     if any(abs(x0 - x) <= 1e-7 * max(1.0, x0) for x in known):
         return None
     for q in _proper_divisors(r):
-        img = float(compose_array(system, np.asarray([x0]), q * p, i)[0])
+        img = float(compose_array(system, x0, q * p, i))
         if abs(img - x0) <= 1e-8 * max(1.0, x0):
             return None
     try:
@@ -277,7 +278,7 @@ def phase_cycles(
     n = r * system.period
     known = list(known)
     found: list[GeometricCycle] = []
-    anchored = abs(float(compose_array(system, np.asarray([1.0]), n, i)[0]) - 1.0) <= 1e-9
+    anchored = abs(float(compose_array(system, 1.0, n, i)) - 1.0) <= 1e-9
 
     def visit(x0: float) -> list[float]:
         if anchored and 0.0 < abs(x0 - 1.0) <= cfg.exclusion_radius:

@@ -119,28 +119,42 @@ def test_decreasing_check_catches_rise():
     assert (rep.passed, rep.involution_passed, rep.decreasing) == (False, False, False)
 
 
-def _custom_mobius(alpha):
-    return make_custom_envelope(f"(1 - {alpha!r}*x)/({alpha!r} - {2.0 * alpha - 1.0!r}*x)")
+def _custom_mobius(alpha, x_h=None):
+    return make_custom_envelope(f"(1 - {alpha!r}*x)/({alpha!r} - {2.0 * alpha - 1.0!r}*x)", x_h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_steep_custom_mobius_x_h_is_its_root(k):
+    # the root 1/alpha and the pole alpha/(2 alpha - 1) share one cell of
+    # the (1, 50) scan; an involution maps 0 to its root, so x_h = h(0).
+    # At k = 4, h(x_h) is 1.1e-8, the rounding of x_h times |h'| ~ 1e8.
+    # The outside leg then stops at x_h instead of running past the pole
+    alpha = 1.0 - 10.0 ** -k
+    h = _custom_mobius(alpha)
+    assert h.x_h == 1.0 / alpha
+    v = envelops(h, make_model("ricker", {"r": 1.5}))
+    assert v.outside is None or v.outside.interval[1] == h.x_h
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_steep_custom_mobius_passes_the_structural_gate(k):
     # h(h(x)) loses about 2k digits near the pole, which the involution
-    # tolerance allows for.  The root 1/alpha and the pole alpha/(2 alpha
-    # - 1) share one cell of the x_h scan, so x_h is inf and the gate runs
+    # tolerance allows for, both on (0, x_h) and, with x_h = inf given,
     # past the pole to 1000
-    h = _custom_mobius(1.0 - 10.0 ** -k)
-    assert h.x_h == math.inf
-    rep = structural_check(h)
-    assert (rep.passed, rep.involution_passed, rep.decreasing) == (True, True, True)
+    alpha = 1.0 - 10.0 ** -k
+    for h in (_custom_mobius(alpha), _custom_mobius(alpha, math.inf)):
+        rep = structural_check(h)
+        assert (rep.passed, rep.involution_passed, rep.decreasing) == (True, True, True)
 
 
 def test_steepest_custom_mobius_fails_decreasing():
     # at alpha = 1 - 1e-7, h' = -(1 - alpha)^2/(alpha - (2 alpha - 1) x)^2
     # past the pole is about -1e-14/x^2, below the rounding of the
-    # quotient rule's numerator, so the computed slope takes both signs
-    rep = structural_check(_custom_mobius(1.0 - 1e-7))
+    # quotient rule's numerator, so the computed slope takes both signs.
+    # The gate runs past the pole only when x_h = inf is given
+    rep = structural_check(_custom_mobius(1.0 - 1e-7, math.inf))
     assert (rep.passed, rep.involution_passed, rep.decreasing) == (False, True, False)
+    assert structural_check(_custom_mobius(1.0 - 1e-7)).passed
 
 
 def test_ricker_enveloped_by_affine():
