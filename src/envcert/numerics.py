@@ -231,10 +231,18 @@ def adaptive_sign_check(
     )
 
 
-# Secant/bisection steps bracketed_root takes before returning the midpoint.
+# Steps bracketed_root takes before it gives up with ValueError.
 _MAX_ITER = 200
 # Bracket width at which bracketed_root stops refining a root.
 _ROOT_TOL = 1e-10
+# Steps bracketed_root takes without halving its bracket before it
+# bisects: each halving then costs at most _STALL + 1 steps, so a bracket
+# of width 1 meets _ROOT_TOL within 34 (_STALL + 1) <= _MAX_ITER steps.
+_STALL = 2
+# Machine epsilon.  bracketed_root stops at a bracket of 4 _EPS |x| where
+# that is wider than _ROOT_TOL (|x| above about 1.1e5): floats there lie
+# too far apart for a bracket as narrow as _ROOT_TOL.
+_EPS = float(np.finfo(float).eps)
 # How far from a known root s scan_roots probes g, relative to max(1, |s|):
 # just outside the 1e-7 within which periodic calls a root known, so a
 # known state that sits off the true root by less than that still has the
@@ -245,9 +253,14 @@ _KNOWN_PROBE = 1.5e-7
 def bracketed_root(g: Callable[[float], float], a: float, b: float) -> float:
     """Locate a root of g in [a, b] given a sign change at the ends.
 
-    Alternates secant proposals with bisection so the bracket width is
-    guaranteed to shrink; returns the bracket midpoint once it is
-    narrower than _ROOT_TOL.
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): each step is a secant or inverse quadratic
+    interpolation that stays inside the bracket and shrinks fast enough,
+    and a bisection otherwise, or after _STALL steps that have not halved
+    the bracket.  A non-finite value is replaced by g at the bracket's
+    midpoint.  Returns the bracket end with the smaller |g| once the
+    bracket is narrower than _ROOT_TOL (or than 4 _EPS |x|, for |x| above
+    about 1.1e5), and raises ValueError if that takes over _MAX_ITER steps.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -262,32 +275,54 @@ def bracketed_root(g: Callable[[float], float], a: float, b: float) -> float:
     if (fa > 0) == (fb > 0):
         raise ValueError(f"no sign change on [{a}, {b}]")
 
-    use_secant = True
+    # cur is the best point so far and blk the bracket's other end; pre is
+    # the point before cur, step and prev are the last two steps, and mark
+    # is the bracket's width when it last halved
+    pre, fpre, cur, fcur = a, fa, b, fb
+    mark, stalled = b - a, 0
     for _ in range(_MAX_ITER):
-        if b - a <= _ROOT_TOL:
-            break
-        x = None
-        if use_secant and fb != fa:
-            s = b - fb * (b - a) / (fb - fa)
-            pad = 1e-3 * (b - a)
-            if a + pad < s < b - pad:
-                x = s
-        if x is None:
-            x = 0.5 * (a + b)
+        if (fpre > 0) != (fcur > 0):
+            blk, fblk = pre, fpre
+            step = prev = cur - pre
+        if abs(fblk) < abs(fcur):
+            pre, fpre = cur, fcur
+            cur, fcur, blk, fblk = blk, fblk, cur, fcur
+        delta = 0.5 * max(_ROOT_TOL, 4 * _EPS * abs(cur))
+        width = abs(blk - cur)
+        if width <= 2 * delta:
+            return cur
+        if width <= 0.5 * mark:
+            mark, stalled = width, 0
+        half = 0.5 * (blk - cur)
+        s = 0.0
+        if stalled < _STALL and abs(prev) > delta and abs(fcur) < abs(fpre):
+            if pre == blk:
+                s = -fcur * (cur - pre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (pre - cur)
+                dblk = (fblk - fcur) / (blk - cur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    s = -fcur * (fblk * dblk - fpre * dpre) / den
+        if s * half > 0 and 2 * abs(s) < min(abs(prev), 3 * abs(half) - delta):
+            prev, step = step, s
+        else:
+            prev = step = half
+        # a step shorter than delta moves delta, so the next bracket can
+        # close on a root next to cur
+        x = cur + (step if abs(step) > delta else (delta if half > 0 else -delta))
         fx = float(g(x))
         if not np.isfinite(fx):
-            x = 0.5 * (a + b)
+            x = 0.5 * (cur + blk)
             fx = float(g(x))
             if not np.isfinite(fx):
                 raise ValueError(f"non-finite value at {x} during refinement")
+            prev = step = half
         if fx == 0.0:
             return x
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        use_secant = not use_secant
-    return 0.5 * (a + b)
+        pre, fpre, cur, fcur = cur, fcur, x, fx
+        stalled += 1
+    raise ValueError(f"no root within {_ROOT_TOL} on [{a}, {b}] after {_MAX_ITER} steps")
 
 
 def _crossing_at_known(

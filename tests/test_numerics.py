@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from envcert import numerics
+from envcert import make_model, make_system, numerics
 from envcert.numerics import (
     GridConfig,
     SignReport,
@@ -17,6 +17,7 @@ from envcert.numerics import (
     scan_roots,
     tangency_ladder,
 )
+from envcert.periodic import compose_array
 
 
 def test_grid_config_rejects_bad_values():
@@ -254,6 +255,190 @@ def test_bracketed_root_requires_sign_change():
 
 def test_bracketed_root_endpoint_zero():
     assert bracketed_root(lambda x: x - 1.0, 1.0, 2.0) == pytest.approx(1.0)
+
+
+def _bracketed_root_alternating(g, a, b):
+    """bracketed_root as it was before Brent's method: secant proposals
+    alternate with bisections until the bracket is narrower than
+    _ROOT_TOL, and the midpoint is returned; kept as its reference."""
+    a, b = float(a), float(b)
+    fa, fb = float(g(a)), float(g(b))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    use_secant = True
+    for _ in range(numerics._MAX_ITER):
+        if b - a <= numerics._ROOT_TOL:
+            break
+        x = None
+        if use_secant and fb != fa:
+            s = b - fb * (b - a) / (fb - fa)
+            pad = 1e-3 * (b - a)
+            if a + pad < s < b - pad:
+                x = s
+        if x is None:
+            x = 0.5 * (a + b)
+        fx = float(g(x))
+        if not np.isfinite(fx):
+            x = 0.5 * (a + b)
+            fx = float(g(x))
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        use_secant = not use_secant
+    return 0.5 * (a + b)
+
+
+def _counted(g):
+    """g and a list whose length is the number of calls of g."""
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return g(x)
+
+    return h, calls
+
+
+# At most _STALL + 1 evaluations halve the bracket, and 34 halvings take
+# a bracket of width 1 under _ROOT_TOL; two more evaluate the ends: 104.
+_WORST_EVALS = 2 + 34 * (numerics._STALL + 1)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.123456789, 0.7, 0.999])
+@pytest.mark.parametrize("name, g, most", [
+    # a root of multiplicity 9: interpolation crawls, and bisection must
+    # take over (bare Illinois steps ran out of steps here)
+    ("ninth power", lambda c: lambda x: (x - c) ** 9, _WORST_EVALS),
+    # a smooth step 1e-8 wide, which interpolation cannot resolve
+    ("steep tanh", lambda c: lambda x: math.tanh(1e8 * (x - c)), 40),
+    ("sign jump", lambda c: lambda x: -1.0 if x < c else 1.0, 40),
+])
+def test_bracketed_root_meets_the_tolerance_in_bounded_evaluations(c, name, g, most):
+    h, calls = _counted(g(c))
+    r = bracketed_root(h, 0.0, 1.0)
+    assert abs(r - c) <= numerics._ROOT_TOL
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("c", [0.3, 0.123456789, 0.7])
+def test_bracketed_root_bisects_when_the_bracket_stalls(c):
+    # on a triple root Brent's step rules alone keep one end for long
+    # runs of steps and took 85-100 evaluations here
+    h, calls = _counted(lambda x: (x - c) ** 3)
+    assert abs(bracketed_root(h, 0.0, 1.0) - c) <= numerics._ROOT_TOL
+    assert len(calls) <= 75
+
+
+def test_bracketed_root_takes_few_evaluations_on_a_smooth_root():
+    h, calls = _counted(lambda x: x * x - 2.0)
+    assert abs(bracketed_root(h, 1.0, 2.0) - math.sqrt(2.0)) < 1e-13
+    assert len(calls) <= 10  # the alternating secant/bisection took 41
+
+
+def test_bracketed_root_falls_back_to_the_midpoint_on_a_non_finite_value():
+    # NaN on (0.6, 0.93): the first secant step lands at 0.905 and is
+    # replaced by the bracket's midpoint; a NaN midpoint ends the search
+    h, calls = _counted(lambda x: math.nan if 0.6 < x < 0.93 else (x - 0.95) * (1.0 + x))
+    assert abs(bracketed_root(h, 0.0, 1.0) - 0.95) <= numerics._ROOT_TOL
+    assert calls[2:4] == [pytest.approx(0.9048, abs=1e-4), 0.5]
+    with pytest.raises(ValueError, match="non-finite value at 0.75 during refinement"):
+        bracketed_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.5)
+    with pytest.raises(ValueError, match="bracket endpoints evaluate non-finite"):
+        bracketed_root(lambda x: math.inf if x > 0.9 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="need a < b"):
+        bracketed_root(lambda x: x, 1.0, 1.0)
+
+
+def test_bracketed_root_raises_rather_than_return_an_unconverged_point():
+    # a sign jump on a bracket of width 2e60 needs about 233 bisections
+    jump = lambda x: -1.0 if x < 0.5 else 1.0
+    with pytest.raises(ValueError, match="no root within 1e-10 on"):
+        bracketed_root(jump, -1e60, 1e60)
+    # floats near 3e6 are 4.7e-10 apart, so no bracket there is as narrow
+    # as _ROOT_TOL: the search stops at 4 eps |x| instead
+    c = 3e6 + 1 / 3
+    h, calls = _counted(lambda x: -1.0 if x < c else 1.0)
+    assert abs(bracketed_root(h, 3e6, 3e6 + 1.0) - c) <= 4 * np.finfo(float).eps * c
+    assert len(calls) <= _WORST_EVALS
+
+
+def _one_root_brackets(g, lo, hi, cells):
+    """The cells of a uniform grid on [lo, hi] where g changes sign, less
+    those with more than one sign change on a 64-point subgrid."""
+    xs = np.linspace(lo, hi, cells + 1)
+    with np.errstate(all="ignore"):
+        vs = g(xs)
+    for i in np.nonzero(vs[:-1] * vs[1:] < 0)[0]:
+        sub = g(np.linspace(xs[i], xs[i + 1], 64))
+        if np.count_nonzero(sub[:-1] * sub[1:] <= 0) == 1:
+            yield float(xs[i]), float(xs[i + 1])
+
+
+def _assert_matches_the_reference(g, a, b):
+    at_point, tol = lambda t: g(np.float64(t)), numerics._ROOT_TOL
+    r = bracketed_root(at_point, a, b)
+    ref = _bracketed_root_alternating(at_point, a, b)
+    assert a <= r <= b
+    # the two differ by more than tol only inside a root's roundoff band,
+    # where g is at noise level and its sign is arbitrary (Phi^2 at a
+    # tangency at 1, Phi'(1) = -1, is flat to 1e-17 for 1e-6 around it)
+    assert abs(r - ref) <= tol or np.abs(g(np.linspace(min(r, ref), max(r, ref), 16))).max() <= 1e-12
+    assert at_point(r) == 0.0 or at_point(max(a, r - tol)) * at_point(min(b, r + tol)) < 0
+
+
+# three or four roots in [-2, 2], more than a grid cell apart
+_ROOTS = st.builds(lambda first, gaps: np.cumsum([first, *gaps]),
+                   st.floats(-2.0, -1.0), st.lists(st.floats(0.2, 1.0), min_size=2, max_size=3))
+
+
+@settings(deadline=None, max_examples=40)
+@given(roots=_ROOTS, lead=st.sampled_from([1.0, -3.0, 1e-3]), complex_pair=st.booleans())
+def test_bracketed_root_matches_the_alternating_reference_on_polynomials(roots, lead, complex_pair):
+    # a cubic or quartic with the drawn real roots, or with its first two
+    # replaced by a complex pair
+    if complex_pair:
+        m, q = roots[:2].mean(), (roots[1] - roots[0]) ** 2
+
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        if complex_pair:
+            return lead * ((x - m) ** 2 + q) * np.prod([x - r for r in roots[2:]], axis=0)
+        return lead * np.prod([x - r for r in roots], axis=0)
+
+    # the grid's step is irrational, so no drawn root is a grid point
+    brackets = list(_one_root_brackets(g, -2.5, 2.5 + 1e-3 * math.pi, 64))
+    assert len(brackets) == len(roots) - 2 * complex_pair
+    for a, b in brackets:
+        _assert_matches_the_reference(g, a, b)
+
+
+_OSC_SYSTEM = st.one_of(
+    st.builds(lambda r: [("ricker", {"r": r})], st.floats(2.3, 3.3)),
+    # f'(1) < -1 needs mu > c/(c - 2)
+    st.builds(lambda c, t: [("beverton-holt", {"mu": c / (c - 2.0) + 1.0 + t * 6.0, "c": c})],
+              st.floats(2.5, 4.0), st.floats(0.0, 1.0)),
+    st.builds(lambda r, s: [("ricker", {"r": r}), ("ricker", {"r": s})],
+              st.floats(2.3, 3.3), st.floats(0.5, 1.0)),
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(maps=_OSC_SYSTEM, r=st.integers(1, 4))
+@example(maps=[("ricker", {"r": 3.0}), ("ricker", {"r": 0.5})], r=2)
+def test_bracketed_root_matches_the_alternating_reference_on_cycles(maps, r):
+    # Phi^r - id of an oscillating system, bracketed on 512 cells of the
+    # interval cycles scans; each has the sign change at 1
+    system = make_system([make_model(f, p) for f, p in maps])
+    g = lambda t: compose_array(system, t, r * system.period) - t
+    brackets = list(_one_root_brackets(g, 1e-9, system.working_interval.hi, 512))
+    assert brackets
+    for a, b in brackets:
+        _assert_matches_the_reference(g, a, b)
 
 
 def test_scan_roots_cubic():
