@@ -21,7 +21,6 @@ from .certify import (
     closed_form_conditions,
     default_candidates,
     local_stability,
-    schwarzian,
     schwarzian_test,
     two_cycle_oracle,
 )
@@ -53,7 +52,6 @@ from .numerics import (
     SignReport,
     adaptive_sign_check,
     bracketed_root,
-    fd_derivative,
     scan_roots,
 )
 from .periodic import (

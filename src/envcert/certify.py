@@ -38,7 +38,6 @@ from .report import plain
 
 __all__ = [
     "SchwarzianReport",
-    "schwarzian",
     "schwarzian_test",
     "LocalStability",
     "local_stability",
@@ -67,18 +66,6 @@ class SchwarzianReport:
     critical_points: tuple[float, ...]
     max_value: float
     reason: str | None
-
-
-def schwarzian(model: PopulationModel, x: float) -> float:
-    """f'''/f' - 1.5 (f''/f')^2 at a point, from the map's Taylor derivatives."""
-    if not model.smooth:
-        raise ValueError(f"Schwarzian unavailable: {model.label} is not C^3")
-    d1 = model.deriv(x, 1)
-    if d1 == 0.0:
-        raise ValueError(f"Schwarzian undefined at critical point x={x:g}")
-    d2 = model.deriv(x, 2)
-    d3 = model.deriv(x, 3)
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
 def _schwarzian_array(model: PopulationModel, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ result, 1 definite negative, 2 inconclusive, 3 usage or input error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -18,6 +19,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 from .certify import (
     axiom_gate,
@@ -34,6 +40,32 @@ from .periodic import compose_array, find_geometric_cycles, iterate_orbit
 from .report import ReportDocument, emit_plot_data, emit_report, render_svg
 
 __all__ = ["main", "run_command", "build_parser"]
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# keep the freed heap top, so a growing heap does not re-fault every check's temporaries
+_TRIM_THRESHOLD = 256 << 20
+# any mallopt call freezes the adaptive mmap threshold at 128 KB; 32 MiB is glibc's 64-bit maximum
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's heap trim and mmap thresholds for this process; a no-op
+    where the C library has no mallopt (macOS, Windows).  Set here, not in
+    the package, so that a program importing the library keeps its own
+    allocator policy."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 _STATUS_EXIT = {
     "CertifiedGlobal": 0,
@@ -181,7 +213,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    t0 = time.perf_counter()
+    t0, u0 = time.perf_counter(), _usage()
     try:
         cfg = _load_config(args.config)
         grid = _grid_from(args, cfg)
@@ -190,11 +222,21 @@ def run_command(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(
-        f"{args.command}: done in {time.perf_counter() - t0:.2f}s",
-        file=sys.stderr,
-    )
+    done = f"{args.command}: done in {time.perf_counter() - t0:.2f}s"
+    if u0 is not None:
+        stime, minflt = _usage()
+        done += f" (system {stime - u0[0]:.2f}s, {minflt - u0[1]} minor faults)"
+    print(done, file=sys.stderr)
     return code
+
+
+def _usage() -> tuple[float, int] | None:
+    """This process's system CPU seconds and minor page faults so far, or
+    None where the platform has no getrusage."""
+    if resource is None:
+        return None
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_stime, ru.ru_minflt
 
 
 def _dispatch(args, cfg: SystemConfig, grid: GridConfig, system) -> int:

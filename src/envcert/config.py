@@ -18,6 +18,7 @@ rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -136,11 +137,23 @@ def config_from_dict(data: Any) -> SystemConfig:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads an exponent without a dot, or without a
+    sign, as a float: YAML 1.1 makes 1e-12, 2e-1 and JSON's 1e-05 strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
 def _from_yaml(text: str, source: str) -> SystemConfig:
     """Parse and validate config text (YAML or JSON); source names it in
     a parse error."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"config parse error in {source}: {exc}") from exc
     return config_from_dict(data)

@@ -1,4 +1,4 @@
-"""Grid-based sign verification, root finding, and finite differences.
+"""Grid-based sign verification and root finding.
 
 Everything here is deterministic: fixed seed grids, midpoint refinement,
 no randomness.  Functions passed in are expected to accept numpy arrays
@@ -20,18 +20,15 @@ __all__ = [
     "bracketed_root",
     "scan_grid",
     "scan_roots",
-    "fd_derivative",
 ]
 
 # Sample offsets inside each cell: endpoints, quartiles, midpoint.
 _OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
-# Cells sampled per call of g.  A block's sample arrays stay at 80 KB,
-# under glibc's 128 KB mmap threshold.  Whole 4096-cell arrays (160 KB)
-# made glibc return the freed heap top to the kernel after every check in
-# some heap layouts, so each check faulted its temporaries in afresh:
-# 33k minor faults and ~70 ms of system time per certify call that runs
-# the Moebius fit, measured on a 2-vCPU VM with Python 3.11.
+# Cells sampled per call of g: a block's sample arrays take 80 KB, so a
+# check's temporaries stay bounded however large seed_cells is.  Whether
+# freed blocks go back to the kernel between checks is the allocator's
+# policy, which the CLI sets (cli.py).
 _BLOCK_CELLS = 2048
 
 
@@ -49,6 +46,10 @@ class GridConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer (got {v!r})")
+        for name in ("abs_tol", "exclusion_radius"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+                raise ValueError(f"{name} must be a number (got {v!r})")
         if self.seed_cells < 1:
             raise ValueError("seed_cells must be at least 1")
         # the sign checks and cycle scans hold seed_cells + 1 points per
@@ -426,38 +427,3 @@ def scan_roots(
             crosses = rest[~_crossing_at_known(g, xs, vs, rest, np.asarray(known))]
             c = 0
     return np.asarray(out)
-
-
-# Fourth-order central stencils.  Step sizes are chosen so that both the
-# truncation term and the floating-point roundoff (which grows like
-# eps/h^k) stay several digits below the advertised accuracy.
-_FD_STEP = {1: 1e-5, 2: 1e-3, 3: 7e-3}
-
-
-def fd_derivative(g: Callable[[float], float], x: float, order: int = 1) -> float:
-    """Finite-difference derivative of g at x, orders 1 through 3."""
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2, or 3")
-    x = float(x)
-    h = _FD_STEP[order] * max(1.0, abs(x))
-
-    def gv(t: float) -> float:
-        return float(g(t))
-
-    if order == 1:
-        num = -gv(x + 2 * h) + 8 * gv(x + h) - 8 * gv(x - h) + gv(x - 2 * h)
-        return num / (12 * h)
-    if order == 2:
-        num = (
-            -gv(x + 2 * h)
-            + 16 * gv(x + h)
-            - 30 * gv(x)
-            + 16 * gv(x - h)
-            - gv(x - 2 * h)
-        )
-        return num / (12 * h * h)
-    d1 = gv(x + h) - gv(x - h)
-    d2 = gv(x + 2 * h) - gv(x - 2 * h)
-    d3 = gv(x + 3 * h) - gv(x - 3 * h)
-    return (-13 * d1 + 8 * d2 - d3) / (8 * h ** 3)
-

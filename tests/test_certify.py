@@ -3,6 +3,7 @@ oracle, and the end-to-end verdicts."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from envcert import certify as certify_mod
@@ -17,7 +18,6 @@ from envcert import (
     make_model,
     make_piecewise_bh,
     make_system,
-    schwarzian,
     schwarzian_test,
     two_cycle_oracle,
 )
@@ -52,15 +52,13 @@ def test_local_stability_bands():
 def test_schwarzian_closed_form_value():
     # x(3 - 2x) has S f = -24/(3 - 4x)^2, so exactly -24 where f' = 1
     q = make_model("quadratic", {"mu": 2.0})
-    assert schwarzian(q, 0.5) == pytest.approx(-24.0, rel=1e-12)
-    with pytest.raises(ValueError, match="critical point"):
-        schwarzian(q, 0.75)
+    xs = np.array([0.5, 0.25, 1.0])
+    np.testing.assert_allclose(certify_mod._schwarzian_array(q, xs),
+                               -24.0 / (3 - 4 * xs) ** 2, rtol=1e-12)
 
 
 def test_schwarzian_requires_smoothness():
     pw = make_model("piecewise-linear-recip", {"slope": 4.0, "brk": 0.6})
-    with pytest.raises(ValueError, match="not C\\^3"):
-        schwarzian(pw, 0.5)
     with pytest.raises(ValueError, match="not C\\^3"):
         schwarzian_test(pw)
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import platform
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -98,6 +100,46 @@ def test_grid_counts_must_be_integers(tmp_path, capsys, field, value, shown):
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: grid: {field} must be an integer (got {shown})" in err
+
+
+@pytest.mark.parametrize("field, text, shown", [
+    ("abs_tol", "yes", "True"),
+    ("exclusion_radius", "false", "False"),
+    ("abs_tol", '"1e-12"', "'1e-12'"),
+    ("exclusion_radius", "'0.001'", "'0.001'"),
+])
+def test_grid_tolerances_must_be_numbers(tmp_path, capsys, field, text, shown):
+    # abs_tol: yes once ran as 1.0 (certify said LocalOnly with
+    # "abs_tol": true), and a string failed on a comparison that named
+    # no key
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text(f"models:\n  - {{family: ricker, params: {{r: 1.0}}}}\n"
+                   f"grid: {{{field}: {text}}}\n")
+    assert run_command(["certify", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: grid: {field} must be a number (got {shown})" in err
+
+
+def test_exponent_numbers_without_a_dot_are_floats(tmp_path, capsys):
+    # YAML 1.1 reads 1e-12 and 2e-1 as strings, and JSON writes 1e-05
+    # for 0.00001, so these configs once exited 3
+    path = tmp_path / "exp.yaml"
+    path.write_text("models:\n  - {family: ricker, params: {r: 2e-1}}\n"
+                    "grid: {abs_tol: 1e-12, exclusion_radius: 1E-3}\n")
+    cfg = parse_system_config(path)
+    assert cfg.raw["models"][0]["params"]["r"] == 0.2
+    assert (cfg.grid.abs_tol, cfg.grid.exclusion_radius) == (1e-12, 1e-3)
+    data = {"models": [{"family": "ricker", "params": {"r": 1.8}}],
+            "grid": {"abs_tol": 0.00001, "seed_cells": 1024}}
+    path = tmp_path / "written.json"
+    path.write_text(json.dumps(data))
+    assert '"abs_tol": 1e-05' in path.read_text()
+    assert run_command(["certify", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["config"] == data
+    assert doc["tolerances"]["abs_tol"] == 1e-05
 
 
 _RICKER = "models:\n  - {family: ricker, params: {r: 1.0}}\n"
@@ -241,7 +283,7 @@ def test_bundled_configs_all_build():
     assert _load_config("ricker_triple.yaml").models[0].family == "ricker"
 
 
-def test_certify_command_stdout(capsys):
+def test_certify_command_stdout(capsys, monkeypatch):
     code = run_command(["certify", "ricker_triple"])
     out, err = capsys.readouterr()
     assert code == 0
@@ -251,7 +293,15 @@ def test_certify_command_stdout(capsys):
     assert doc["result"]["status"] == "CertifiedGlobal"
     assert doc["result"]["envelope"] == "mobius(alpha=0.5)"
     assert "status: CertifiedGlobal" in err
-    assert "done in" in err
+    # wall time, then this command's system time and minor page faults
+    # where getrusage exists; only stderr carries them
+    usage = r" \(system \d+\.\d\ds, \d+ minor faults\)" if cli_mod.resource else ""
+    assert re.search(rf"^certify: done in \d+\.\d\ds{usage}$", err, re.M)
+    monkeypatch.setattr(cli_mod, "resource", None)
+    assert run_command(["certify", "ricker_triple"]) == 0
+    again, err = capsys.readouterr()
+    assert again == out
+    assert re.search(r"^certify: done in \d+\.\d\ds$", err, re.M)
 
 
 def test_certify_command_negative_exit(tmp_path):
@@ -508,6 +558,53 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["status"] == "CertifiedGlobal"
+
+
+_FAULTS_PER_CHECK = """\
+import resource
+import envcert.cli
+from envcert import envelops, make_mobius, make_model
+
+f = make_model("exponential-rational", {"a": 0.32, "b": 2.48})
+envelops(make_mobius(0.5), f)
+kept = []
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(300):
+    envelops(make_mobius(0.5 + i / 1000), f)
+    kept.append(f"{i:>7500}")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 300)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_cli_keeps_the_heap_top_between_sign_checks():
+    # a process whose heap grows between sign checks (here by a kept
+    # string per check, as a scan keeping its reports does) once gave the
+    # checks' freed temporaries back to the kernel each time: about 100
+    # minor faults per check without the thresholds the CLI sets, 1.4 with
+    src = str(Path(__import__("envcert").__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_CHECK],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10
+
+
+def _raises(exc):
+    def cdll(name):
+        raise exc("no handle for the running process")
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _raises(OSError), _raises(TypeError)],
+                         ids=["no-mallopt", "oserror", "typeerror"])
+def test_allocator_setup_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    # a C library without mallopt (macOS), or a platform that cannot open
+    # the running process as a library: the CLI runs with the allocator
+    # as it is
+    monkeypatch.setattr(cli_mod.ctypes, "CDLL", cdll)
+    assert cli_mod._pin_malloc_thresholds() is None
 
 
 QUADRATIC_TANGENCY = """\

@@ -16,7 +16,8 @@ import sympy
 from envcert import FAMILIES, Interval, make_custom_envelope, make_model, verify_population_axioms
 from envcert.cli import run_command
 from envcert.models import compile_expression
-from envcert.numerics import GridConfig, fd_derivative
+from envcert.numerics import GridConfig
+from references import fd_derivative
 
 
 def test_families_tuple():

@@ -1,4 +1,5 @@
-"""Grid sign checks, bracketing, root scans and finite differences."""
+"""Grid sign checks, bracketing, root scans, and the finite differences
+the tests take derivatives with."""
 
 import math
 
@@ -13,11 +14,11 @@ from envcert.numerics import (
     _merge_cells,
     adaptive_sign_check,
     bracketed_root,
-    fd_derivative,
     scan_roots,
     tangency_ladder,
 )
 from envcert.periodic import compose_array
+from references import fd_derivative
 
 
 def test_grid_config_rejects_bad_values():

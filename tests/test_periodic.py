@@ -23,8 +23,9 @@ from envcert import certify, numerics, periodic
 from envcert.certify import two_cycle_oracle
 from envcert.cli import _bundled_names, _load_config, run_command
 from envcert.config import config_to_system
-from envcert.numerics import GridConfig, fd_derivative, scan_roots
+from envcert.numerics import GridConfig, scan_roots
 from envcert.periodic import _checked_walk, _proper_divisors, _seq_minimal_period, cycle_grid
+from references import fd_derivative
 
 
 BUNDLED = _bundled_names()
