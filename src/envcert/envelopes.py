@@ -174,9 +174,13 @@ def structural_check(h: Envelope, cfg: GridConfig | None = None) -> StructuralRe
     def slack(x: np.ndarray) -> np.ndarray:
         nonlocal worst
         hv = h.eval_array(x)
+        # h' first, while only x and hv are held: its Taylor temporaries
+        # are the largest set of block-sized arrays any check holds
+        scale = np.abs(h._slope(hv) * hv)
         res = np.abs(h.eval_array(hv) - x)
-        worst = max(worst, float(np.where(np.isnan(res), np.inf, res).max()))
-        tol = 1e-9 * np.maximum(np.maximum(1.0, x), np.abs(h._slope(hv) * hv))
+        top = float(res.max())
+        worst = max(worst, top if top == top else np.inf)  # NaN counts as inf
+        tol = 1e-9 * np.maximum(np.maximum(1.0, x), scale)
         return tol - res
 
     positive = adaptive_sign_check(h.eval_array, span, "positive", strict)
@@ -238,8 +242,10 @@ def _outside_leg(h: Envelope, model: PopulationModel, cfg: GridConfig) -> SignRe
     def gap(t: np.ndarray) -> np.ndarray:
         fv = model.eval_array(t)
         hv = h.eval_array(t)
-        both = (fv > 0) & (hv > 0)
-        return np.where(both, fv - hv, np.inf)
+        # NaN fails both tests, so a NaN sample takes the masked path
+        if fv.min() > 0 and hv.min() > 0:
+            return fv - hv
+        return np.where((fv > 0) & (hv > 0), fv - hv, np.inf)
 
     return adaptive_sign_check(gap, (1.0 + delta, hi_out), "positive", cfg)
 

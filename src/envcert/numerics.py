@@ -25,11 +25,32 @@ __all__ = [
 # Sample offsets inside each cell: endpoints, quartiles, midpoint.
 _OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
-# Cells sampled per call of g: a block's sample arrays take 80 KB, so a
-# check's temporaries stay bounded however large seed_cells is.  Whether
-# freed blocks go back to the kernel between checks is the allocator's
-# policy, which the CLI sets (cli.py).
-_BLOCK_CELLS = 2048
+# Cells sampled per call of g: each of a block's sample arrays takes
+# 160 KB, and the default grid of 4096 cells is one block, so g is called
+# once per seed pass.  The bound still caps a check's temporaries at large
+# seed_cells.  Arrays this size stay resident from one check to the next
+# only under the allocator thresholds the CLI pins (cli.py); under glibc's
+# defaults every check faults them in afresh (README, performance note).
+_BLOCK_CELLS = 4096
+
+# 0, 1, 2, ... as floats: the ramp _uniform_grid scales, long enough for
+# the default grid of 4096 cells.
+_RAMP = np.arange(4097, dtype=float)
+_RAMP.flags.writeable = False
+
+
+def _uniform_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """np.linspace(lo, hi, points) for points >= 2, bit for bit: linspace
+    takes ramp * step + lo and sets the last point to hi.  Grids longer
+    than the cached ramp, and steps that underflow to 0 (where linspace
+    divides instead), go to np.linspace itself."""
+    step = (hi - lo) / (points - 1)
+    if points > _RAMP.size or step == 0.0:
+        return np.linspace(lo, hi, points)
+    grid = _RAMP[:points] * step
+    grid += lo
+    grid[-1] = hi
+    return grid
 
 
 @dataclass(frozen=True)
@@ -160,8 +181,8 @@ def adaptive_sign_check(
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"degenerate interval ({lo}, {hi})")
 
-    sgn = 1.0 if claim == "positive" else -1.0
-    edges = np.linspace(lo, hi, cfg.seed_cells + 1)
+    negative = claim == "negative"
+    edges = _uniform_grid(lo, hi, cfg.seed_cells + 1)
     cell_lo, cell_hi = edges[:-1], edges[1:]
     cells_checked = 0
     min_abs = np.inf
@@ -180,7 +201,16 @@ def adaptive_sign_check(
             # reduction over a cell's five samples runs along whole rows
             xs = b_lo + (b_hi - b_lo) * _OFFSETS[:, None]
             with np.errstate(all="ignore"):
-                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(5, -1)
+                raw = np.asarray(g(xs.reshape(-1)), dtype=float).reshape(5, -1)
+            # vals is g signed so that the claim reads vals > 0
+            vals = -raw if negative else raw
+            # a block whose least sample clears abs_tol (NaN does not) is
+            # decided whole: every cell passes and that sample is its min_abs
+            least = vals.min()
+            if least > cfg.abs_tol:
+                min_abs = min(min_abs, float(least))
+                keep[s:s + _BLOCK_CELLS] = False
+                continue
             # |+-inf| never lowers min_abs below a finite sample, and a
             # block of NaN gives NaN, which min() passes over
             min_abs = min(min_abs, float(np.fmin.reduce(np.abs(vals), axis=None)))
@@ -190,7 +220,7 @@ def adaptive_sign_check(
                 # the leftmost offending sample; on a tie the earlier block's
                 k = int(np.argmin(xs[bad]))
                 if witness is None or xs[bad][k] < witness[0]:
-                    witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
+                    witness = (float(xs[bad][k]), float(raw[bad][k]))
             # +inf satisfies the claim (masked/vacuous samples); NaN does not.
             keep[s:s + _BLOCK_CELLS] = ~np.logical_and.reduce(vals > cfg.abs_tol, axis=0)
         if witness is not None:
@@ -358,7 +388,7 @@ def scan_grid(interval: tuple[float, float], seed_cells: int = 4096) -> np.ndarr
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("need lo < hi")
-    return np.linspace(lo, hi, max(seed_cells, 8) + 1)
+    return _uniform_grid(lo, hi, max(seed_cells, 8) + 1)
 
 
 def scan_roots(

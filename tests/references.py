@@ -2,10 +2,17 @@
 
 The package takes every derivative from Taylor jets; these finite
 differences and the pointwise Schwarzian built on them check those jets
-independently.
+independently.  The sign check and the envelope's outside leg are kept
+here as they were before their fast paths, so that the package's can be
+held to them bit for bit.
 """
 
 from typing import Callable
+
+import numpy as np
+
+from envcert import numerics
+from envcert.numerics import SignReport, _merge_cells
 
 # Fourth-order central stencils.  Step sizes are chosen so that both the
 # truncation term and the floating-point roundoff (which grows like
@@ -53,3 +60,73 @@ def schwarzian(model, x: float) -> float:
     d2 = model.deriv(x, 2)
     d3 = model.deriv(x, 3)
     return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+
+def sign_check_cells_by_five(g, interval, claim="positive", cfg=None):
+    """numerics.adaptive_sign_check with each block laid out as cells x 5
+    samples, as it was before the offset-major layout, the seed grid from
+    np.linspace, and every block taken through the full abs/fmin/witness
+    passes, as before the all-clear test."""
+    if cfg is None:
+        cfg = numerics.GridConfig()
+    if claim not in ("positive", "negative"):
+        raise ValueError("claim must be 'positive' or 'negative'")
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"degenerate interval ({lo}, {hi})")
+    sgn = 1.0 if claim == "positive" else -1.0
+    edges = np.linspace(lo, hi, cfg.seed_cells + 1)
+    cell_lo, cell_hi = edges[:-1], edges[1:]
+    cells_checked, min_abs, unresolved = 0, np.inf, ()
+    for depth in range(cfg.max_refinement_depth + 1):
+        n = cell_lo.size
+        if n == 0:
+            break
+        cells_checked += n
+        keep = np.empty(n, dtype=bool)
+        witness = None
+        for s in range(0, n, numerics._BLOCK_CELLS):
+            b_lo, b_hi = cell_lo[s:s + numerics._BLOCK_CELLS], cell_hi[s:s + numerics._BLOCK_CELLS]
+            xs = b_lo[:, None] + (b_hi - b_lo)[:, None] * numerics._OFFSETS[None, :]
+            with np.errstate(all="ignore"):
+                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(-1, 5)
+            finite = np.isfinite(vals)
+            if finite.any():
+                min_abs = min(min_abs, float(np.abs(vals[finite]).min()))
+            bad = finite & (vals < -cfg.abs_tol)
+            if bad.any():
+                k = int(np.argmin(xs[bad]))
+                if witness is None or xs[bad][k] < witness[0]:
+                    witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
+            keep[s:s + numerics._BLOCK_CELLS] = ~(vals > cfg.abs_tol).all(axis=1)
+        if witness is not None:
+            return SignReport("violation", claim, (lo, hi), cells_checked, min_abs,
+                              witness=witness[0], witness_value=witness[1])
+        if not keep.any():
+            break
+        if depth == cfg.max_refinement_depth or int(keep.sum()) > 2 * cfg.seed_cells:
+            unresolved = _merge_cells(cell_lo[keep], cell_hi[keep])
+            break
+        mid = 0.5 * (cell_lo[keep] + cell_hi[keep])
+        cell_lo = np.concatenate([cell_lo[keep], mid])
+        cell_hi = np.concatenate([mid, cell_hi[keep]])
+        order = np.argsort(cell_lo, kind="stable")
+        cell_lo, cell_hi = cell_lo[order], cell_hi[order]
+    status = "unresolved" if unresolved else f"all_{claim}"
+    return SignReport(status, claim, (lo, hi), cells_checked, min_abs, unresolved=unresolved)
+
+
+def outside_leg_masked(h, model, cfg):
+    """envelopes._outside_leg with every sample masked by np.where, as
+    before its all-positive test, checked by sign_check_cells_by_five."""
+    delta = cfg.exclusion_radius
+    hi_out = min(h.x_h, model.domain.hi)
+    if not (np.isfinite(hi_out) and hi_out > 1.0 + 2 * delta):
+        return None
+
+    def gap(t):
+        fv = model.eval_array(t)
+        hv = h.eval_array(t)
+        return np.where((fv > 0) & (hv > 0), fv - hv, np.inf)
+
+    return sign_check_cells_by_five(gap, (1.0 + delta, hi_out), "positive", cfg)

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from envcert import config_from_dict, config_to_system, parse_system_config, two_cycle_oracle
-from envcert import cli as cli_mod, envelopes as envelopes_mod
+from envcert import cli as cli_mod, envelopes as envelopes_mod, numerics
 from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, build_parser, run_command
+from references import outside_leg_masked, sign_check_cells_by_five
 
 BUNDLED = [
     "bh_counterexample",
@@ -759,3 +760,34 @@ def test_mobius_fit_exits_2_on_an_unresolved_empty_fit(monkeypatch, capsys):
     assert code == 2
     assert fit["feasible"] == []
     assert (fit["failure"], fit["delta_used"]) == ("unresolved", 1e-4)
+
+
+# the commands whose reports every sign check feeds; mobius-fit on one
+# config whose fit finds a run of alphas and on one whose fit is empty
+_SIGN_CHECKED_RUNS = [[cmd, name] for cmd in ("certify", "axioms", "envelope-check")
+                      for name in BUNDLED] + [["mobius-fit", "ricker_triple"],
+                                              ["mobius-fit", "bh_counterexample"]]
+
+
+def _reports(runs, capsys):
+    out = []
+    for argv in runs:
+        code = run_command(argv)
+        out.append((argv, code, capsys.readouterr().out))
+    return out
+
+
+def test_reports_match_the_reference_sign_checks(monkeypatch, capsys):
+    # every report byte and exit code must come out the same when each
+    # sign check, and the envelope's outside leg, runs as its reference
+    fast = _reports(_SIGN_CHECKED_RUNS, capsys)
+    feasible = [json.loads(report)["result"]["feasible"] for _, _, report in fast[-2:]]
+    assert feasible[0] and not feasible[1]
+    patched = [name for name, mod in sys.modules.items()
+               if name.split(".")[0] == "envcert" and mod is not numerics
+               and getattr(mod, "adaptive_sign_check", None) is numerics.adaptive_sign_check]
+    assert {"envcert", "envcert.certify", "envcert.envelopes", "envcert.models"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "adaptive_sign_check", sign_check_cells_by_five)
+    monkeypatch.setattr(envelopes_mod, "_outside_leg", outside_leg_masked)
+    assert _reports(_SIGN_CHECKED_RUNS, capsys) == fast

@@ -23,6 +23,7 @@ from envcert import envelopes as envelopes_mod
 from envcert.cli import _bundled_names, _load_config
 from envcert.config import config_to_system
 from envcert.numerics import GridConfig
+from references import outside_leg_masked
 
 
 def test_mobius_half_is_affine():
@@ -361,6 +362,29 @@ def test_rescued_fit_probes_only_its_window(monkeypatch):
     # probes of (alpha, map): the bisection, the window, the violation
     # under it, two midpoints
     assert len(bisection) + len(walk) + len(mids) <= math.ceil(math.log2(n + 1)) + window + 3
+
+
+_SLOW_RICKER = "x*exp(0.5*(1 - x))"
+
+
+@pytest.mark.parametrize("pieces, params, alpha, masked", [
+    ([(0.0, _SLOW_RICKER), (3.0, "-1")], None, 0.25, True),  # f jumps below 0 at 3
+    ([(0.0, _SLOW_RICKER), (3.0, "0")], None, 0.25, True),  # f jumps to 0 at 3
+    ([(0.0, _SLOW_RICKER + "*(3 - x)**0.5/(3 - x)**0.5")], None, 0.25, True),  # f NaN from 3
+    ([(0.0, "x*(3 - x)/2")], None, 0.2, True),  # f falls through 0 at 3: a violation
+    ([(0.0, "x*(3 - x)**0.5/2**0.5")], None, 0.2, True),  # a violation, then NaN
+    (None, {"r": 1.5}, 0.2, True),  # only h(x_h) = 0 is masked
+    (None, {"r": 1.5}, 0.04, False),  # x_h = 25 past the domain's end: nothing masked
+], ids=["f-negative", "f-zero", "f-nan", "f-zero-violation", "f-nan-violation", "h-zero", "all-positive"])
+def test_outside_leg_matches_the_masked_reference(pieces, params, alpha, masked):
+    model = make_model("custom", pieces=pieces) if pieces else make_model("ricker", params)
+    h = make_mobius(alpha)
+    cfg = GridConfig()
+    got = envelopes_mod._outside_leg(h, model, cfg)
+    assert got == outside_leg_masked(h, model, cfg)
+    lo, hi = got.interval
+    xs = np.linspace(lo, hi, cfg.seed_cells + 1)
+    assert masked == (not ((model.eval_array(xs) > 0) & (h.eval_array(xs) > 0)).all())
 
 
 def test_fit_checks_down_past_an_unresolved_outside_leg(monkeypatch):

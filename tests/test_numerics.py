@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from envcert import make_model, make_system, numerics
 from envcert.numerics import (
     GridConfig,
-    SignReport,
     _merge_cells,
     adaptive_sign_check,
     bracketed_root,
@@ -18,7 +17,7 @@ from envcert.numerics import (
     tangency_ladder,
 )
 from envcert.periodic import compose_array
-from references import fd_derivative
+from references import fd_derivative, sign_check_cells_by_five
 
 
 def test_grid_config_rejects_bad_values():
@@ -135,61 +134,15 @@ def test_sign_check_nan_never_passes():
     (lambda x: np.sin(40.0 * x) + 0.5, "positive"),  # dips below 0 in every block
     (lambda x: 0.9 - x, "positive"),  # fails only in the last block
     (lambda x: (x - 0.9) ** 2 + 1e-3 * x, "positive"),  # min_abs in the last block
-    (lambda x: (x - 0.4096) ** 2, "positive"),  # a tangency at a block boundary
+    (lambda x: (x - 0.8192) ** 2, "positive"),  # a tangency at a block boundary
     (lambda x: -1.0 - x, "negative"),
 ], ids=["dips", "late-violation", "late-minimum", "tangency", "negative"])
 def test_sign_check_blocks_match_one_block(monkeypatch, g, claim):
-    # 5000 seed cells span three blocks of samples
+    # 5000 seed cells span two blocks of samples, split at x = 4096/5000
     cfg = GridConfig(seed_cells=5000)
     blocked = adaptive_sign_check(g, (0.0, 1.0), claim, cfg)
     monkeypatch.setattr(numerics, "_BLOCK_CELLS", 10**9)
     assert adaptive_sign_check(g, (0.0, 1.0), claim, cfg) == blocked
-
-
-def _sign_check_cells_by_five(g, interval, claim, cfg):
-    """adaptive_sign_check with each block laid out as cells x 5 samples,
-    as it was before the offset-major layout; kept as its reference."""
-    lo, hi = float(interval[0]), float(interval[1])
-    sgn = 1.0 if claim == "positive" else -1.0
-    edges = np.linspace(lo, hi, cfg.seed_cells + 1)
-    cell_lo, cell_hi = edges[:-1], edges[1:]
-    cells_checked, min_abs, unresolved = 0, np.inf, ()
-    for depth in range(cfg.max_refinement_depth + 1):
-        n = cell_lo.size
-        if n == 0:
-            break
-        cells_checked += n
-        keep = np.empty(n, dtype=bool)
-        witness = None
-        for s in range(0, n, numerics._BLOCK_CELLS):
-            b_lo, b_hi = cell_lo[s:s + numerics._BLOCK_CELLS], cell_hi[s:s + numerics._BLOCK_CELLS]
-            xs = b_lo[:, None] + (b_hi - b_lo)[:, None] * numerics._OFFSETS[None, :]
-            with np.errstate(all="ignore"):
-                vals = sgn * np.asarray(g(xs.reshape(-1)), dtype=float).reshape(-1, 5)
-            finite = np.isfinite(vals)
-            if finite.any():
-                min_abs = min(min_abs, float(np.abs(vals[finite]).min()))
-            bad = finite & (vals < -cfg.abs_tol)
-            if bad.any():
-                k = int(np.argmin(xs[bad]))
-                if witness is None or xs[bad][k] < witness[0]:
-                    witness = (float(xs[bad][k]), float(sgn * vals[bad][k]))
-            keep[s:s + numerics._BLOCK_CELLS] = ~(vals > cfg.abs_tol).all(axis=1)
-        if witness is not None:
-            return SignReport("violation", claim, (lo, hi), cells_checked, min_abs,
-                              witness=witness[0], witness_value=witness[1])
-        if not keep.any():
-            break
-        if depth == cfg.max_refinement_depth or int(keep.sum()) > 2 * cfg.seed_cells:
-            unresolved = _merge_cells(cell_lo[keep], cell_hi[keep])
-            break
-        mid = 0.5 * (cell_lo[keep] + cell_hi[keep])
-        cell_lo = np.concatenate([cell_lo[keep], mid])
-        cell_hi = np.concatenate([mid, cell_hi[keep]])
-        order = np.argsort(cell_lo, kind="stable")
-        cell_lo, cell_hi = cell_lo[order], cell_hi[order]
-    status = "unresolved" if unresolved else f"all_{claim}"
-    return SignReport(status, claim, (lo, hi), cells_checked, min_abs, unresolved=unresolved)
 
 
 def _sign_problem(bend, tilt, shift, centre, nan_band, inf_band, claim):
@@ -220,25 +173,94 @@ _BAND = st.one_of(st.none(), st.tuples(_UNIT, st.floats(0.0, 0.2), st.sampled_fr
        shift=st.one_of(st.sampled_from([0.0, 1e-10, -1e-6]), st.floats(-0.5, 0.5)),
        centre=_UNIT, nan_band=_BAND, inf_band=_BAND,
        claim=st.sampled_from(["positive", "negative"]),
-       seed_cells=st.sampled_from([1, 7, 300, 2048, 2049, 5000]), depth=st.integers(0, 12))
+       seed_cells=st.sampled_from([1, 7, 300, 2048, 2049, 4096, 4097, 5000]), depth=st.integers(0, 12),
+       abs_tol=st.sampled_from([1e-9, 0.0]))
 @example(bend=0.0, tilt=-1.0, shift=0.9, centre=0.0, nan_band=None, inf_band=None,
-         claim="positive", seed_cells=5000, depth=12)  # a violation in the last block only
+         claim="positive", seed_cells=5000, depth=12, abs_tol=1e-9)  # a violation in the last block only
 @example(bend=1.0, tilt=0.0, shift=0.0, centre=0.7, nan_band=None, inf_band=None,
-         claim="negative", seed_cells=4096, depth=12)  # refined down to an unresolved tangency
+         claim="negative", seed_cells=4096, depth=12, abs_tol=1e-9)  # refined down to an unresolved tangency
 @example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=(0.2, 0.3, 1.0),
-         inf_band=(0.6, 0.8, -1.0), claim="positive", seed_cells=2049, depth=3)  # NaN and -inf
+         inf_band=(0.6, 0.8, -1.0), claim="positive", seed_cells=2049, depth=3,
+         abs_tol=1e-9)  # NaN and -inf
 @example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=None,
-         inf_band=(0.0, 1.0, 1.0), claim="positive", seed_cells=7, depth=2)  # +inf everywhere
+         inf_band=(0.0, 1.0, 1.0), claim="positive", seed_cells=7, depth=2,
+         abs_tol=1e-9)  # +inf everywhere
 @example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=(0.0, 1.0, 1.0),
-         inf_band=None, claim="negative", seed_cells=7, depth=2)  # NaN everywhere
+         inf_band=None, claim="negative", seed_cells=7, depth=2, abs_tol=1e-9)  # NaN everywhere
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=None,
+         inf_band=(0.2, 0.4, 1.0), claim="positive", seed_cells=4096, depth=3,
+         abs_tol=1e-9)  # an all-clear block with +inf samples
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=(0.5, 0.5, 1.0),
+         inf_band=None, claim="positive", seed_cells=4096, depth=3,
+         abs_tol=1e-9)  # one NaN sample, at x = 0.5, in an otherwise clear block
+@example(bend=1.0, tilt=0.0, shift=0.0, centre=0.5, nan_band=None, inf_band=None,
+         claim="positive", seed_cells=4096, depth=2, abs_tol=0.0)  # a 0.0 sample, abs_tol 0
+@example(bend=1.0, tilt=0.0, shift=0.0, centre=0.5, nan_band=None, inf_band=None,
+         claim="negative", seed_cells=4096, depth=2, abs_tol=0.0)  # a -0.0 sample, abs_tol 0
+@example(bend=0.0, tilt=0.0, shift=1.0, centre=0.0, nan_band=None, inf_band=None,
+         claim="negative", seed_cells=4096, depth=0, abs_tol=1e-9)  # an all-clear negative claim
+@example(bend=1.0, tilt=0.0, shift=0.0, centre=0.3, nan_band=None, inf_band=None,
+         claim="positive", seed_cells=4096, depth=4, abs_tol=1e-9)  # one block, refined
+@example(bend=1.0, tilt=0.0, shift=0.0, centre=0.3, nan_band=None, inf_band=None,
+         claim="positive", seed_cells=4097, depth=4, abs_tol=1e-9)  # one block and one cell
 def test_sign_check_matches_the_cells_by_five_layout(
-    bend, tilt, shift, centre, nan_band, inf_band, claim, seed_cells, depth
+    bend, tilt, shift, centre, nan_band, inf_band, claim, seed_cells, depth, abs_tol
 ):
     g = _sign_problem(bend, tilt, shift, centre, nan_band, inf_band, claim)
-    cfg = GridConfig(seed_cells=seed_cells, max_refinement_depth=depth)
+    cfg = GridConfig(seed_cells=seed_cells, max_refinement_depth=depth, abs_tol=abs_tol)
     got = adaptive_sign_check(g, (0.0, 1.0), claim, cfg)
-    assert got == _sign_check_cells_by_five(g, (0.0, 1.0), claim, cfg)
+    assert got == sign_check_cells_by_five(g, (0.0, 1.0), claim, cfg)
     assert type(got.min_abs_value) is float
+
+
+def test_sign_check_examples_reach_their_samples():
+    # the boundary examples above need these exact samples on the grid
+    # of 4096 cells: x = 0.5 is a cell end, where g is NaN, 0.0 or -0.0
+    edges = np.linspace(0.0, 1.0, 4097)
+    assert edges[2048] == 0.5
+    nan_at_half = _sign_problem(0.0, 0.0, 1.0, 0.0, (0.5, 0.5, 1.0), None, "positive")
+    assert np.isnan(nan_at_half(edges)).sum() == 1
+    for claim, sign in (("positive", 1.0), ("negative", -1.0)):
+        v = _sign_problem(1.0, 0.0, 0.0, 0.5, None, None, claim)(np.array([0.5]))[0]
+        assert v == 0.0 and math.copysign(1.0, v) == sign
+
+
+_SPAN = st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=80)
+@given(lo=st.floats(-1e3, 1e3), span=_SPAN,
+       seed_cells=st.sampled_from([1, 7, 4096, 4097, 2**20]))
+@example(lo=-1.0, span=2.0, seed_cells=4096)
+@example(lo=10.644994057150711, span=29.669724096766878, seed_cells=7)  # 7 steps overshoot hi
+@example(lo=0.0, span=5e-324, seed_cells=4096)  # the step underflows to 0
+@example(lo=-1e3, span=1e-12, seed_cells=2**20)  # longer than the ramp
+def test_uniform_grid_is_linspace_bit_for_bit(lo, span, seed_cells):
+    hi = lo + span
+    if not lo < hi:  # a span below lo's spacing rounds away
+        hi = np.nextafter(lo, np.inf)
+    grid = numerics._uniform_grid(lo, hi, seed_cells + 1)
+    assert grid.tobytes() == np.linspace(lo, hi, seed_cells + 1).tobytes()
+    scan = numerics.scan_grid((lo, hi), seed_cells)
+    assert scan.tobytes() == np.linspace(lo, hi, max(seed_cells, 8) + 1).tobytes()
+
+
+def test_uniform_grid_falls_back_to_linspace(monkeypatch):
+    calls = []
+    real = np.linspace
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numerics.np, "linspace", counted)
+    numerics._uniform_grid(0.0, 1.0, numerics._RAMP.size)
+    assert calls == []
+    numerics._uniform_grid(0.0, 5e-324, 4097)
+    numerics._uniform_grid(0.0, 1.0, numerics._RAMP.size + 1)
+    assert calls == [(0.0, 5e-324, 4097), (0.0, 1.0, numerics._RAMP.size + 1)]
+    # grids are new arrays; the ramp they scale stays read-only
+    assert not numerics._RAMP.flags.writeable
 
 
 def test_bracketed_root_sqrt2():
