@@ -116,16 +116,18 @@ def config_from_dict(data: Any) -> SystemConfig:
         _build_model(e, f"models[{i}]") for i, e in enumerate(model_entries)
     )
 
-    env_entries = data.get("envelopes") or []
+    # only a missing key or null is absent: envelopes: {} or grid: 0 is
+    # a mistake, not an empty section
+    env_entries = [] if data.get("envelopes") is None else data["envelopes"]
     if not isinstance(env_entries, (list, tuple)):
-        raise ValueError("'envelopes' must be a list")
+        raise ValueError(f"envelopes: must be a list (got {env_entries!r})")
     envelopes = tuple(
         _build_envelope(e, f"envelopes[{i}]") for i, e in enumerate(env_entries)
     )
 
-    grid_entry = data.get("grid") or {}
+    grid_entry = {} if data.get("grid") is None else data["grid"]
     if not isinstance(grid_entry, Mapping):
-        raise ValueError("'grid' must be a mapping")
+        raise ValueError(f"grid: must be a mapping (got {grid_entry!r})")
     _reject_unknown(grid_entry, _GRID_KEYS, "grid")
     try:
         grid = GridConfig(**grid_entry)

@@ -534,8 +534,9 @@ def compile_expression(expr_str: str):
 
 
 def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
-    """(eval, derivs, breakpoints, smooth) of a map given as pieces (start,
-    expression); params, when given, binds the names of a family formula."""
+    """(eval, derivs, breakpoints, smooth, parsed) of a map given as pieces
+    (start, expression), parsed being the checked (start, expression)
+    pairs; params, when given, binds the names of a family formula."""
     if not isinstance(pieces, (list, tuple)):
         raise ValueError(f"pieces must be a list (got {pieces!r})")
     if not pieces:
@@ -573,7 +574,7 @@ def _build_custom(pieces: Sequence, params: Mapping | None = None) -> tuple:
             f"custom model must satisfy f(0)=0 and f(1)=1 "
             f"(residuals {r0:.2e}, {r1:.2e})"
         )
-    return ev, ds, tuple(starts[1:]), len(parsed) == 1
+    return ev, ds, tuple(starts[1:]), len(parsed) == 1, tuple(parsed)
 
 
 _BUILDERS = {
@@ -597,21 +598,21 @@ def make_model(
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     if x_max is not None:
         x_max = _number(x_max, "x_max")
+    # only None is absent: pieces=[] on a ricker or params={} on a custom
+    # map is a misplaced key, not a missing one
     if family == "custom":
-        if params:
-            raise ValueError("custom models take pieces, not params")
-        ev, ds, breakpoints, smooth = _build_custom(pieces or ())
+        if params is not None:
+            raise ValueError(f"custom models take pieces, not params (got params {params!r})")
+        ev, ds, breakpoints, smooth, parsed = _build_custom(() if pieces is None else pieces)
         natural_hi = None
-        items = (("pieces", tuple((float(s), str(e)) for s, e in
-                                  ((p["from"], p["expr"]) if isinstance(p, Mapping) else p
-                                   for p in pieces))),)
+        items = (("pieces", parsed),)
     else:
-        if pieces:
-            raise ValueError(f"{family} takes params, not pieces")
+        if pieces is not None:
+            raise ValueError(f"{family} takes params, not pieces (got pieces {pieces!r})")
         builder, names = _BUILDERS[family]
-        vals = _require_params(family, params or {}, names)
+        vals = _require_params(family, {} if params is None else params, names)
         formula, natural_hi = builder(vals)
-        ev, ds, breakpoints, smooth = _build_custom(formula, vals)
+        ev, ds, breakpoints, smooth, _ = _build_custom(formula, vals)
         items = tuple(sorted(vals.items()))
 
     if natural_hi is not None:

@@ -7,6 +7,7 @@ and evaluate elementwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -356,33 +357,6 @@ def bracketed_root(g: Callable[[float], float], a: float, b: float) -> float:
     raise ValueError(f"no root within {_ROOT_TOL} on [{a}, {b}] after {_MAX_ITER} steps")
 
 
-def _crossing_at_known(
-    g: Callable[[np.ndarray], np.ndarray],
-    xs: np.ndarray,
-    vs: np.ndarray,
-    crosses: np.ndarray,
-    known: np.ndarray,
-) -> np.ndarray:
-    """Which sign-change brackets [xs[i], xs[i + 1]], i in crosses, hold
-    exactly one root s of the sorted array known, with g at s -/+
-    _KNOWN_PROBE max(1, |s|), clipped to the bracket, signed like g at
-    the bracket's left and right ends."""
-    a, b = xs[crosses], xs[crosses + 1]
-    first = np.searchsorted(known, a, side="left")
-    one = np.searchsorted(known, b, side="right") - first == 1
-    at_known = np.zeros(crosses.size, dtype=bool)
-    if one.any():
-        s = known[first[one]]
-        eps = _KNOWN_PROBE * np.maximum(1.0, np.abs(s))
-        probes = np.concatenate([np.maximum(s - eps, a[one]), np.minimum(s + eps, b[one])])
-        with np.errstate(all="ignore"):
-            near = np.asarray(g(probes), dtype=float)
-        at_known[one] = (near[:s.size] * vs[crosses[one]] > 0) & (
-            near[s.size:] * vs[crosses[one] + 1] > 0
-        )
-    return at_known
-
-
 def scan_grid(interval: tuple[float, float], seed_cells: int = 4096) -> np.ndarray:
     """The uniform grid scan_roots samples g on."""
     lo, hi = float(interval[0]), float(interval[1])
@@ -409,51 +383,54 @@ def scan_roots(
     values, if given, holds g on that grid, so a caller that has them
     already saves the evaluation.
 
-    known holds roots of g the caller already has.  A bracket [a, b]
-    that holds exactly one known root s is not refined, and gives no
-    root, when g at s -/+ 1.5e-7 max(1, |s|), clipped to [a, b], has the
-    signs of g(a) and g(b): the sign change is then the one across s.
-    Any other bracket may hold a further root and is refined.
+    One ascending pass decides each zero and each bracket once, when it
+    reaches it, against the roots known at that moment.  known holds
+    roots of g the caller already has.  A bracket [a, b] that holds
+    exactly one known root s is not refined, and gives no root, when g
+    at s -/+ 1.5e-7 max(1, |s|), clipped to [a, b], has the signs of
+    g(a) and g(b): the sign change is then the one across s.  Any other
+    bracket may hold a further root and is refined, among them one that
+    holds two known roots, even if it held only one of them earlier in
+    the pass.
 
-    Roots are found in ascending order.  visit, if given, is called with
-    each root as soon as it is found, before any bracket above it is
-    refined, and returns the roots of g it has learned from it (say the
-    other points of a cycle through it); these join known, so the
-    brackets still to come that hold one of them alone are skipped.
+    visit, if given, is called with each root as soon as it is found,
+    before any bracket above it is decided, and returns the roots of g
+    it has learned from it (say the other points of a cycle through
+    it); these join known for the rest of the pass.
     """
     xs = scan_grid(interval, seed_cells)
     if values is None:
         with np.errstate(all="ignore"):
             values = g(xs)
     vs = np.asarray(values, dtype=float)
-    zeros = np.nonzero(vs == 0.0)[0].tolist()
     fin = np.isfinite(vs)
-    crosses = np.nonzero(fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0))[0]
+    # index i marks the zero xs[i] or the sign change on [xs[i], xs[i + 1]]:
+    # a sign change has no zero at either end, so no index marks both
+    marks = vs == 0.0
+    marks[:-1] |= fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0)
     # sorted(), not np.sort or np.unique: their first call faults in
     # 0.25-1.6 MB of numpy code that no other scan needs
     known = sorted(known)
-    if known:
-        crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(known))]
     at_point = lambda t: g(np.float64(t))
     out: list[float] = []
-    z = c = 0
-    while z < len(zeros) or c < len(crosses):
-        # the zero at xs[j] lies below the bracket [xs[i], xs[i + 1]]
-        # exactly when j < i, as j is neither i nor i + 1
-        if c == len(crosses) or (z < len(zeros) and zeros[z] < crosses[c]):
-            r = float(xs[zeros[z]])
-            z += 1
+    for i in np.flatnonzero(marks).tolist():
+        a = xs[i]
+        if vs[i] == 0.0:
+            r = float(a)
         else:
-            i = crosses[c]
-            r = bracketed_root(at_point, xs[i], xs[i + 1])
-            c += 1
+            b = xs[i + 1]
+            first = bisect_left(known, a)
+            if bisect_right(known, b) - first == 1:
+                s = known[first]
+                eps = _KNOWN_PROBE * max(1.0, abs(s))
+                with np.errstate(all="ignore"):
+                    left, right = at_point(max(s - eps, a)), at_point(min(s + eps, b))
+                if left * vs[i] > 0 and right * vs[i + 1] > 0:
+                    continue
+            r = bracketed_root(at_point, a, b)
         if out and r - out[-1] <= max(10 * _ROOT_TOL, 1e-9 * max(1.0, abs(r))):
             continue
         out.append(r)
-        learned = visit(r) if visit is not None else ()
-        if len(learned):
-            known = sorted([*known, *learned])
-            rest = crosses[c:]
-            crosses = rest[~_crossing_at_known(g, xs, vs, rest, np.asarray(known))]
-            c = 0
+        if visit is not None:
+            known = sorted([*known, *visit(r)])
     return np.asarray(out)

@@ -3,11 +3,12 @@
 The package takes every derivative from Taylor jets; these finite
 differences and the pointwise Schwarzian built on them check those jets
 independently.  The sign check and the envelope's outside leg are kept
-here as they were before their fast paths, so that the package's can be
-held to them bit for bit.
+here as they were before their fast paths, and the root scan as it was
+before its one ascending pass, so that the package's can be held to them
+bit for bit.
 """
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,3 +131,75 @@ def outside_leg_masked(h, model, cfg):
         return np.where((fv > 0) & (hv > 0), fv - hv, np.inf)
 
     return sign_check_cells_by_five(gap, (1.0 + delta, hi_out), "positive", cfg)
+
+
+def _crossing_at_known(g, xs, vs, crosses, known):
+    """Which sign-change brackets [xs[i], xs[i + 1]], i in crosses, hold
+    exactly one root s of the sorted array known, with g at s -/+
+    _KNOWN_PROBE max(1, |s|), clipped to the bracket, signed like g at
+    the bracket's left and right ends."""
+    a, b = xs[crosses], xs[crosses + 1]
+    first = np.searchsorted(known, a, side="left")
+    one = np.searchsorted(known, b, side="right") - first == 1
+    at_known = np.zeros(crosses.size, dtype=bool)
+    if one.any():
+        s = known[first[one]]
+        eps = numerics._KNOWN_PROBE * np.maximum(1.0, np.abs(s))
+        probes = np.concatenate([np.maximum(s - eps, a[one]), np.minimum(s + eps, b[one])])
+        with np.errstate(all="ignore"):
+            near = np.asarray(g(probes), dtype=float)
+        at_known[one] = (near[:s.size] * vs[crosses[one]] > 0) & (
+            near[s.size:] * vs[crosses[one] + 1] > 0
+        )
+    return at_known
+
+
+def scan_roots_refiltered(
+    g: Callable[[np.ndarray], np.ndarray],
+    interval: tuple[float, float],
+    seed_cells: int = 4096,
+    *,
+    values: np.ndarray | None = None,
+    known: Sequence[float] = (),
+    visit: Callable[[float], Sequence[float]] | None = None,
+) -> np.ndarray:
+    """numerics.scan_roots as it was before its one ascending pass: the
+    brackets that hold one known root are filtered out before the scan,
+    by one array call of g, and the remaining ones again after each root
+    that visit learns from; zeros and brackets are merged by two
+    pointers.  A bracket skipped once stays skipped, even when a learned
+    root later joins its known one."""
+    xs = numerics.scan_grid(interval, seed_cells)
+    if values is None:
+        with np.errstate(all="ignore"):
+            values = g(xs)
+    vs = np.asarray(values, dtype=float)
+    zeros = np.nonzero(vs == 0.0)[0].tolist()
+    fin = np.isfinite(vs)
+    crosses = np.nonzero(fin[:-1] & fin[1:] & (vs[:-1] * vs[1:] < 0))[0]
+    known = sorted(known)
+    if known:
+        crosses = crosses[~_crossing_at_known(g, xs, vs, crosses, np.asarray(known))]
+    at_point = lambda t: g(np.float64(t))
+    out: list[float] = []
+    z = c = 0
+    while z < len(zeros) or c < len(crosses):
+        # the zero at xs[j] lies below the bracket [xs[i], xs[i + 1]]
+        # exactly when j < i, as j is neither i nor i + 1
+        if c == len(crosses) or (z < len(zeros) and zeros[z] < crosses[c]):
+            r = float(xs[zeros[z]])
+            z += 1
+        else:
+            i = crosses[c]
+            r = numerics.bracketed_root(at_point, xs[i], xs[i + 1])
+            c += 1
+        if out and r - out[-1] <= max(10 * numerics._ROOT_TOL, 1e-9 * max(1.0, abs(r))):
+            continue
+        out.append(r)
+        learned = visit(r) if visit is not None else ()
+        if len(learned):
+            known = sorted([*known, *learned])
+            rest = crosses[c:]
+            crosses = rest[~_crossing_at_known(g, xs, vs, rest, np.asarray(known))]
+            c = 0
+    return np.asarray(out)

@@ -13,11 +13,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from envcert import config_from_dict, config_to_system, parse_system_config, two_cycle_oracle
 from envcert import cli as cli_mod, envelopes as envelopes_mod, numerics
 from envcert.cli import _STATUS_EXIT, _bundled_names, _load_config, build_parser, run_command
-from references import outside_leg_masked, sign_check_cells_by_five
+from references import outside_leg_masked, scan_roots_refiltered, sign_check_cells_by_five
 
 BUNDLED = [
     "bh_counterexample",
@@ -146,42 +147,71 @@ def test_exponent_numbers_without_a_dot_are_floats(tmp_path, capsys):
 _RICKER = "models:\n  - {family: ricker, params: {r: 1.0}}\n"
 
 
-@pytest.mark.parametrize("text, where", [
+_TYPE = " must be a "
+_CUSTOM = "models:\n  - family: custom\n    pieces: [[0.0, x]]\n"
+
+
+@pytest.mark.parametrize("text, where, says", [
     pytest.param("models:\n  - {family: ricker, params: {r: 1.0}, x_max: [3]}\n",
-                 "models[0]", id="x_max"),
-    pytest.param("models:\n  - {family: ricker, params: 3}\n", "models[0]", id="params"),
-    pytest.param("models:\n  - {family: custom, pieces: 5}\n", "models[0]", id="pieces"),
+                 "models[0]", _TYPE, id="x_max"),
+    pytest.param("models:\n  - {family: ricker, params: 3}\n", "models[0]", _TYPE, id="params"),
+    pytest.param("models:\n  - {family: custom, pieces: 5}\n", "models[0]", _TYPE, id="pieces"),
     pytest.param("models:\n  - family: custom\n    pieces:\n      - {from: 0.0, expr: x}\n"
-                 "      - {from: [1], expr: x}\n", "models[0]", id="from"),
+                 "      - {from: [1], expr: x}\n", "models[0]", _TYPE, id="from"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: mobius, alpha: [0.5]}\n",
-                 "envelopes[0]", id="alpha"),
+                 "envelopes[0]", _TYPE, id="alpha"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: piecewise-bh, c: {a: 1}}\n",
-                 "envelopes[0]", id="c"),
+                 "envelopes[0]", _TYPE, id="c"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: custom, expr: 2 - x, x_h: [2]}\n",
-                 "envelopes[0]", id="x_h"),
+                 "envelopes[0]", _TYPE, id="x_h"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: mobius, alpha: \"0.5\"}\n",
-                 "envelopes[0]", id="alpha-string"),
+                 "envelopes[0]", _TYPE, id="alpha-string"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: reciprocal}\n  - {kind: mobius, alpha: true}\n",
-                 "envelopes[1]", id="alpha-bool"),
+                 "envelopes[1]", _TYPE, id="alpha-bool"),
     pytest.param(_RICKER + "envelopes:\n  - {kind: custom, expr: 3}\n",
-                 "envelopes[0]", id="expr-envelope"),
+                 "envelopes[0]", _TYPE, id="expr-envelope"),
     pytest.param("models:\n  - family: custom\n    pieces:\n      - {from: 0.0, expr: 5}\n",
-                 "models[0]", id="expr-piece"),
+                 "models[0]", _TYPE, id="expr-piece"),
     pytest.param("models:\n  - family: custom\n    pieces:\n      - [0.0, x*exp(1 - x)]\n"
-                 "      - [2.0, true]\n", "models[0]", id="expr-second-piece"),
+                 "      - [2.0, true]\n", "models[0]", _TYPE, id="expr-second-piece"),
+    # a falsy section or key of the wrong type once passed as absent
+    *[pytest.param(_RICKER + f"envelopes: {v}\n", "envelopes", " must be a list ",
+                   id=f"envelopes-{v}") for v in ("{}", "0", "false")],
+    *[pytest.param(_RICKER + f"grid: {v}\n", "grid", " must be a mapping ",
+                   id=f"grid-{v}") for v in ("[]", "0", "false")],
+    *[pytest.param(f"models:\n  - {{family: ricker, params: {{r: 1.0}}, pieces: {v}}}\n",
+                   "models[0]", "ricker takes params, not pieces", id=f"ricker-pieces-{v}")
+      for v in ("[]", "0", "false")],
+    *[pytest.param(_CUSTOM + f"    params: {v}\n", "models[0]",
+                   "custom models take pieces, not params", id=f"custom-params-{v}")
+      for v in ("{}", "0")],
 ])
-def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where):
+def test_config_numbers_must_be_numbers(tmp_path, capsys, text, where, says):
     # each of these once crashed with a TypeError traceback (exit 1, the
-    # code of a definite negative), or coerced a string or bool to a float;
-    # an expr that was a number was read as the constant it spells, so
-    # the envelope "3" ran the whole Moebius fit and exited 0
+    # code of a definite negative), coerced a string or bool to a float,
+    # or read a falsy value of the wrong type as a missing key; an expr
+    # that was a number was read as the constant it spells, so the
+    # envelope "3" ran the whole Moebius fit and exited 0
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert run_command(["certify", str(cfg)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: {where}: " in err
-    assert " must be a " in err
+    assert says in err
+
+
+def test_empty_and_null_sections_are_absent(tmp_path, capsys):
+    # only a missing key or null is absent; an empty list of envelopes
+    # and an empty grid mapping are valid too
+    for text in ("envelopes: []\ngrid: {}\n", "envelopes: null\ngrid: null\n",
+                 "envelopes:\ngrid:\n"):
+        cfg = config_from_dict(yaml.safe_load(_RICKER + text))
+        assert (cfg.envelopes, cfg.grid) == ((), numerics.GridConfig())
+    for text in (_RICKER.replace("}}", "}, pieces: null}"),
+                 _CUSTOM.replace("]]\n", "]]\n    params: null\n")):
+        cfg = config_from_dict(yaml.safe_load(text))
+        assert len(cfg.models) == 1
 
 
 def test_grid_cells_are_bounded(tmp_path, capsys):
@@ -762,11 +792,13 @@ def test_mobius_fit_exits_2_on_an_unresolved_empty_fit(monkeypatch, capsys):
     assert (fit["failure"], fit["delta_used"]) == ("unresolved", 1e-4)
 
 
-# the commands whose reports every sign check feeds; mobius-fit on one
-# config whose fit finds a run of alphas and on one whose fit is empty
-_SIGN_CHECKED_RUNS = [[cmd, name] for cmd in ("certify", "axioms", "envelope-check")
-                      for name in BUNDLED] + [["mobius-fit", "ricker_triple"],
-                                              ["mobius-fit", "bh_counterexample"]]
+# the commands whose reports every sign check or root scan feeds;
+# mobius-fit on one config whose fit finds a run of alphas and on one
+# whose fit is empty
+_REFERENCE_RUNS = [[cmd, name] for cmd in ("certify", "axioms", "envelope-check")
+                   for name in BUNDLED] + [["mobius-fit", "ricker_triple"],
+                                           ["mobius-fit", "bh_counterexample"]] + [
+                  ["cycles", name, "--r-max", "3"] for name in BUNDLED]
 
 
 def _reports(runs, capsys):
@@ -777,17 +809,28 @@ def _reports(runs, capsys):
     return out
 
 
+def _importers(name, fn):
+    """The envcert modules other than numerics that import fn by name."""
+    return [mod_name for mod_name, mod in sys.modules.items()
+            if mod_name.split(".")[0] == "envcert" and mod is not numerics
+            and getattr(mod, name, None) is fn]
+
+
 def test_reports_match_the_reference_sign_checks(monkeypatch, capsys):
     # every report byte and exit code must come out the same when each
-    # sign check, and the envelope's outside leg, runs as its reference
-    fast = _reports(_SIGN_CHECKED_RUNS, capsys)
-    feasible = [json.loads(report)["result"]["feasible"] for _, _, report in fast[-2:]]
+    # sign check, the envelope's outside leg and each root scan run as
+    # their references
+    fast = _reports(_REFERENCE_RUNS, capsys)
+    feasible = [json.loads(report)["result"]["feasible"] for argv, _, report in fast
+                if argv[0] == "mobius-fit"]
     assert feasible[0] and not feasible[1]
-    patched = [name for name, mod in sys.modules.items()
-               if name.split(".")[0] == "envcert" and mod is not numerics
-               and getattr(mod, "adaptive_sign_check", None) is numerics.adaptive_sign_check]
-    assert {"envcert", "envcert.certify", "envcert.envelopes", "envcert.models"} <= set(patched)
-    for name in patched:
+    checks = _importers("adaptive_sign_check", numerics.adaptive_sign_check)
+    assert {"envcert", "envcert.certify", "envcert.envelopes", "envcert.models"} <= set(checks)
+    for name in checks:
         monkeypatch.setattr(sys.modules[name], "adaptive_sign_check", sign_check_cells_by_five)
+    scans = _importers("scan_roots", numerics.scan_roots)
+    assert {"envcert", "envcert.certify", "envcert.envelopes", "envcert.periodic"} <= set(scans)
+    for name in scans:
+        monkeypatch.setattr(sys.modules[name], "scan_roots", scan_roots_refiltered)
     monkeypatch.setattr(envelopes_mod, "_outside_leg", outside_leg_masked)
-    assert _reports(_SIGN_CHECKED_RUNS, capsys) == fast
+    assert _reports(_REFERENCE_RUNS, capsys) == fast

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from envcert import make_model, make_system, numerics
 from envcert.numerics import (
@@ -17,7 +17,7 @@ from envcert.numerics import (
     tangency_ladder,
 )
 from envcert.periodic import compose_array
-from references import fd_derivative, sign_check_cells_by_five
+from references import fd_derivative, scan_roots_refiltered, sign_check_cells_by_five
 
 
 def test_grid_config_rejects_bad_values():
@@ -546,6 +546,81 @@ def test_scan_roots_refines_a_bracket_with_more_roots_than_the_known_one(monkeyp
     cell = [(a, b) for a, b in brackets if a < 0.01182 < b]
     assert cell == [pytest.approx((0.00977, 0.01465), abs=1e-5)]
     assert any(a <= r <= b for r in found for a, b in cell)
+
+
+def test_scan_roots_refines_a_skipped_bracket_that_a_learned_root_joins():
+    # the cell [0.5, 0.500244] holds the known root 0.50001, with the
+    # right signs either side; visiting 0.2 teaches 0.50003, so by the
+    # time the scan reaches the cell it holds two known roots and is
+    # refined.  The refiltered scan skipped it before the first root and
+    # never looked at it again
+    g = lambda x: (x - 0.2) * (x - 0.50001) * (x - 0.7)
+    visit = lambda r: [0.50003] if abs(r - 0.2) < 1e-9 else []
+    found = scan_roots(g, (0.0, 1.0), known=[0.50001], visit=visit)
+    np.testing.assert_allclose(found, [0.2, 0.50001, 0.7], atol=1e-10)
+    found = scan_roots_refiltered(g, (0.0, 1.0), known=[0.50001], visit=visit)
+    np.testing.assert_allclose(found, [0.2, 0.7], atol=1e-10)
+
+
+def test_scan_roots_refines_a_known_touching_root_beside_a_crossing(monkeypatch):
+    # g touches 0 at the known 0.3 and crosses at 0.30003, both in the
+    # cell [0.299805, 0.300049]: the probe above 0.3 has the sign of g(a),
+    # not of g(b), so the cell is refined and the crossing found
+    g = lambda x: (x - 0.3) ** 2 * (x - 0.30003)
+    brackets = _counted_brackets(monkeypatch)
+    found = scan_roots(g, (0.0, 1.0), known=[0.3])
+    assert brackets == [pytest.approx((0.299805, 0.300049), abs=1e-6)]
+    np.testing.assert_allclose(found, [0.30003], atol=1e-10)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A polynomial with seeded roots in (0, 1), values that may be
+    known (roots as they are or moved by under 1e-7, and values that are
+    no roots), and for each value the index of the root whose visit
+    reveals it, or -1 for a value known from the start."""
+    roots = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True))
+    moved = st.one_of(st.just(0.0), st.floats(-9.9e-8, 9.9e-8))
+    values = [r + draw(moved) for r in roots if draw(st.booleans())]
+    values += draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    sources = [draw(st.integers(-1, len(roots) - 1)) for _ in values]
+    lead = draw(st.sampled_from([1.0, -2.0]))
+    return roots, lead, values, sources, draw(st.sampled_from([64, 512, 4096]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_scan_cases())
+def test_scan_roots_matches_the_refiltered_scan(case):
+    # while no grid cell holds two values that may become known, no
+    # bracket ever holds two known roots, and the one pass decides every
+    # bracket as the scan that filtered them up front and after each
+    # visit did: the same roots bit for bit, from the same visits
+    roots, lead, values, sources, seed_cells = case
+    xs = numerics.scan_grid((0.0, 1.0), seed_cells)
+    pool = np.sort(values)
+    assume(np.all(np.searchsorted(xs, pool[:-1], "right") < np.searchsorted(xs, pool[1:], "left")))
+
+    def g(x):
+        out = lead
+        for r in roots:
+            out = out * (x - r)
+        return out
+
+    def run(scan):
+        visited = []
+
+        def visit(x):
+            visited.append(x)
+            near = [j for j, r in enumerate(roots) if abs(x - r) < 1e-6]
+            return [v for v, j in zip(values, sources) if j in near]
+
+        known = [v for v, j in zip(values, sources) if j < 0]
+        return scan(g, (0.0, 1.0), seed_cells, known=known, visit=visit), visited
+
+    found, visited = run(scan_roots)
+    want, want_visited = run(scan_roots_refiltered)
+    assert found.tobytes() == want.tobytes()
+    assert visited == want_visited
 
 
 def test_scan_roots_seeded_quartics():
